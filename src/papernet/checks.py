@@ -8,10 +8,12 @@ corrupted from tests; each callable returns its max relative error.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import layers
-from .model import build_papernet, forward
+from .model import VARIANTS, build_papernet, forward
 from .tensor import (
     Tensor,
     add,
@@ -194,22 +196,6 @@ def _check_model(variant: str) -> float:
     )
 
 
-def check_model_full() -> float:
-    return _check_model("full")
-
-
-def check_model_no_attention() -> float:
-    return _check_model("no_attention")
-
-
-def check_model_no_lstm() -> float:
-    return _check_model("no_lstm")
-
-
-def check_model_no_residual() -> float:
-    return _check_model("no_residual")
-
-
 SUITE = {
     "matmul": check_matmul,
     "elementwise": check_elementwise,
@@ -227,10 +213,7 @@ SUITE = {
     "dense": check_dense,
     "dropout": check_dropout_fixed_mask,
     "cross_entropy": check_cross_entropy,
-    "model_full": check_model_full,
-    "model_no_attention": check_model_no_attention,
-    "model_no_lstm": check_model_no_lstm,
-    "model_no_residual": check_model_no_residual,
+    **{f"model_{variant}": functools.partial(_check_model, variant) for variant in VARIANTS},
 }
 
 

@@ -14,27 +14,22 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, data, dsp, metrics
-from .errors import (
-    ConfigError,
-    DataError,
-    FilterDesignError,
-    PapernetError,
-    TrainingError,
-    WeightFormatError,
-)
+from .errors import ConfigError, DataError, FilterDesignError, PapernetError, WeightFormatError
 from .model import VARIANTS, build_papernet, count_non_trainable, count_parameters
 from .training import TrainConfig, predict_probs, train
 
 
 @dataclass
-class RunConfig:
-    """Everything one run needs; JSON keys match the field names."""
+class RunConfig(TrainConfig):
+    """Everything one run needs. JSON config keys and command-line flags
+    are generated from the field names (``--no-<name>`` for a bool)."""
 
     data: str | None = None
     outdir: str = "papernet_out"
@@ -43,63 +38,50 @@ class RunConfig:
     band_high_hz: float = dsp.DEFAULT_BAND[1]
     variant: str = "full"
     num_classes: int | None = None
-    lr0: float = 1e-3
-    batch_size: int = 64
-    max_epochs: int = 100
-    plateau_patience: int = 3
-    plateau_factor: float = 0.5
-    min_lr: float = 1e-6
-    early_stop_patience: int = 6
-    l2: float = 1e-4
-    dropout: float = 0.3
-    seed: int = 0
-    class_weighting: bool = True
 
-    def train_config(self) -> TrainConfig:
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        return TrainConfig(**{k: v for k, v in dataclasses.asdict(self).items() if k in fields})
+    def validate(self) -> None:
+        for name, kinds in _field_types().items():
+            kinds += (int,) if float in kinds else ()
+            value = getattr(self, name)
+            # bool is an int subclass: accept it for bool fields only
+            if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
+                names = " or ".join(k.__name__ for k in kinds)
+                raise ConfigError(f"{name} must be {names}, got {value!r}")
+        super().validate()
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.num_classes is not None and self.num_classes < 2:
+            raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
 
-    def require_data(self) -> Path:
-        if not self.data:
-            raise ConfigError("no dataset path configured (set --data or the config key)")
-        path = Path(self.data)
-        if not path.exists():
-            raise ConfigError(f"dataset path does not exist: {path}")
-        return path
+
+def _field_types() -> dict[str, tuple[type, ...]]:
+    """The value types each RunConfig field accepts, e.g. (int, NoneType)
+    for ``int | None``, in field order."""
+    hints = typing.get_type_hints(RunConfig)
+    return {name: typing.get_args(hint) or (hint,) for name, hint in hints.items()}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    names = _field_types()
     values = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
+    if args.config:
+        path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file does not exist: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(loaded) - known
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = set(loaded) - set(names)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    for f in dataclasses.fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
+    values.update({n: getattr(args, n) for n in names if getattr(args, n) is not None})
     config = RunConfig(**values)
-    if config.variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {config.variant!r}")
-    config.train_config().validate()
+    config.validate()
     return config
-
-
-def _write_resolved(config: RunConfig, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "config_resolved.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2)
-        fh.write("\n")
 
 
 @dataclass
@@ -111,18 +93,28 @@ class PreparedData:
     num_classes: int
 
 
+def _load_filtered(config: RunConfig, min_classes: int = 1):
+    """Ingest the CSV, check that it holds ``min_classes`` distinct labels,
+    and band-pass its rows. Returns (raw dataset, filtered features)."""
+    raw = data.load_csv(config.data)
+    distinct = len(np.unique(raw.labels))
+    if distinct < min_classes:
+        raise DataError(f"{config.data}: need {min_classes} distinct labels, found {distinct}")
+    filtered = dsp.preprocess_recording(
+        raw.features, config.sample_rate_hz, config.band_low_hz, config.band_high_hz
+    )
+    return raw, filtered
+
+
 def prepare_dataset(config: RunConfig) -> PreparedData:
     """Ingest, band-pass, split, and standardize. The test indices are
     wrapped so they can be consumed exactly once, after training."""
-    raw = data.load_csv(config.require_data())
+    raw, filtered = _load_filtered(config, min_classes=2)
     num_classes = config.num_classes or raw.num_classes
     if raw.labels.max() >= num_classes:
         raise DataError(
             f"labels go up to {raw.labels.max()} but num_classes={num_classes}"
         )
-    filtered = dsp.preprocess_recording(
-        raw.features, config.sample_rate_hz, config.band_low_hz, config.band_high_hz
-    )
     splits = data.stratified_split(raw.labels, seed=config.seed)
     standardizer = dsp.fit_standardizer(filtered, splits.train)
     features = dsp.apply_standardizer(standardizer, filtered)
@@ -135,7 +127,36 @@ def prepare_dataset(config: RunConfig) -> PreparedData:
     )
 
 
-def _evaluate_split(model, prepared: PreparedData, indices, config: RunConfig, outdir: Path):
+def _begin_run(args, prepare):
+    """Resolve the config, check the dataset path before anything is
+    written, write ``config_resolved.json``, and run ``prepare`` on the
+    config. Returns (config, outdir, prepared)."""
+    config = resolve_config(args)
+    if not config.data:
+        raise ConfigError("no dataset path configured (set --data or the config key)")
+    if not Path(config.data).exists():
+        raise ConfigError(f"dataset path does not exist: {config.data}")
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "config_resolved.json", "w", encoding="utf-8") as fh:
+        json.dump(dataclasses.asdict(config), fh, indent=2)
+        fh.write("\n")
+    return config, outdir, prepare(config)
+
+
+def _build_model(prepared: PreparedData, config: RunConfig, variant=None, weights=None):
+    """A model sized for ``prepared``; ``weights``, when given, are loaded."""
+    model = build_papernet(
+        num_classes=prepared.num_classes,
+        input_length=prepared.features.shape[1],
+        variant=variant or config.variant,
+        seed=config.seed,
+    )
+    return model if weights is None else data.load_weights(weights, model)
+
+
+def _evaluate_split(model, prepared: PreparedData, indices, config: RunConfig, outdir=None):
+    """Score ``model`` on ``indices``; with ``outdir``, write report.json and roc.csv."""
     probs = predict_probs(model, prepared.features[indices])
     report = metrics.evaluate_probs(
         prepared.labels[indices], probs, prepared.num_classes, baseline_seed=config.seed
@@ -146,9 +167,15 @@ def _evaluate_split(model, prepared: PreparedData, indices, config: RunConfig, o
         "n_samples": int(len(indices)),
         "parameters": count_parameters(model),
     }
-    metrics.report_to_json(report, outdir / "report.json")
-    metrics.roc_to_csv(report, outdir / "roc.csv")
+    if outdir is not None:
+        metrics.report_to_json(report, outdir / "report.json")
+        metrics.roc_to_csv(report, outdir / "roc.csv")
     return report
+
+
+def _summary(report) -> str:
+    auc = report.macro_auc if report.macro_auc is None else round(report.macro_auc, 4)
+    return f"accuracy {report.accuracy:.4f} macro-F1 {report.macro_f1:.4f} macro ROC-AUC {auc}"
 
 
 def _export_attention_csv(model, prepared: PreparedData, indices, outdir: Path) -> None:
@@ -157,95 +184,51 @@ def _export_attention_csv(model, prepared: PreparedData, indices, outdir: Path) 
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args)
-    config.require_data()
-    outdir = Path(config.outdir)
-    _write_resolved(config, outdir)
-    prepared = prepare_dataset(config)
-    model = build_papernet(
-        num_classes=prepared.num_classes,
-        input_length=prepared.features.shape[1],
-        variant=config.variant,
-        seed=config.seed,
-    )
+    config, outdir, prepared = _begin_run(args, prepare_dataset)
+    model = _build_model(prepared, config)
     print(
         f"training variant={config.variant} seed={config.seed} "
         f"parameters={count_parameters(model)}"
     )
-    best, final, history = train(
-        model, prepared.features, prepared.labels, prepared.splits,
-        config.train_config(), outdir=outdir,
+    best, _, history = train(
+        model, prepared.features, prepared.labels, prepared.splits, config, outdir=outdir
     )
-    last = history.records[-1]
     print(
-        f"finished after {last.epoch} epochs: "
+        f"finished after {history.records[-1].epoch} epochs: "
         f"best val macro-F1 {history.best_val_macro_f1():.4f}"
     )
     test_idx = prepared.test_guard.take()
     report = _evaluate_split(best, prepared, test_idx, config, outdir)
     if config.variant != "no_attention":
         _export_attention_csv(best, prepared, test_idx, outdir)
-    print(
-        f"test accuracy {report.accuracy:.4f} macro-F1 {report.macro_f1:.4f} "
-        f"macro ROC-AUC {report.macro_auc if report.macro_auc is None else round(report.macro_auc, 4)}"
-    )
+    print(f"test {_summary(report)}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    config = resolve_config(args)
-    config.require_data()
-    outdir = Path(config.outdir)
-    _write_resolved(config, outdir)
-    prepared = prepare_dataset(config)
-    which = args.split
+    config, outdir, prepared = _begin_run(args, prepare_dataset)
     indices = {
         "train": prepared.splits.train,
         "val": prepared.splits.val,
         "test": prepared.splits.test,
         "all": np.arange(len(prepared.labels)),
-    }[which]
-    model = build_papernet(
-        num_classes=prepared.num_classes,
-        input_length=prepared.features.shape[1],
-        variant=config.variant,
-        seed=config.seed,
-    )
-    model = data.load_weights(args.weights, model)
+    }[args.split]
+    model = _build_model(prepared, config, weights=args.weights)
     report = _evaluate_split(model, prepared, indices, config, outdir)
-    print(
-        f"{which}: accuracy {report.accuracy:.4f} macro-F1 {report.macro_f1:.4f} "
-        f"macro ROC-AUC {report.macro_auc if report.macro_auc is None else round(report.macro_auc, 4)}"
-    )
+    print(f"{args.split}: {_summary(report)}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    config = resolve_config(args)
-    config.require_data()
-    outdir = Path(config.outdir)
-    _write_resolved(config, outdir)
-    prepared = prepare_dataset(config)
+    config, outdir, prepared = _begin_run(args, prepare_dataset)
     print(f"ablation over {VARIANTS} with split hash {prepared.splits.hash()}")
     rows = []
     for variant in VARIANTS:
-        run_dir = outdir / variant
-        run_dir.mkdir(parents=True, exist_ok=True)
-        model = build_papernet(
-            num_classes=prepared.num_classes,
-            input_length=prepared.features.shape[1],
-            variant=variant,
-            seed=config.seed,
-        )
         best, _, history = train(
-            model, prepared.features, prepared.labels, prepared.splits,
-            config.train_config(), outdir=run_dir,
+            _build_model(prepared, config, variant), prepared.features, prepared.labels,
+            prepared.splits, config, outdir=outdir / variant,
         )
-        probs = predict_probs(best, prepared.features[prepared.splits.test])
-        report = metrics.evaluate_probs(
-            prepared.labels[prepared.splits.test], probs, prepared.num_classes,
-            baseline_seed=config.seed,
-        )
+        report = _evaluate_split(best, prepared, prepared.splits.test, config)
         rows.append(
             {
                 "variant": variant,
@@ -259,7 +242,7 @@ def cmd_ablate(args) -> int:
             f"macro-F1 {report.macro_f1:.4f} epochs {len(history.records)}"
         )
     with open(outdir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "accuracy", "macro_f1", "macro_roc_auc"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     with open(outdir / "ablation.json", "w", encoding="utf-8") as fh:
@@ -271,6 +254,8 @@ def cmd_ablate(args) -> int:
 def cmd_bench(args) -> int:
     if args.n_samples < 1:
         raise ConfigError(f"--n-samples must be positive, got {args.n_samples}")
+    if args.input_length < 2:
+        raise ConfigError(f"--input-length must be at least 2, got {args.input_length}")
     model = data.load_weights(args.weights, input_length=args.input_length)
     rng = np.random.default_rng(0)
     sample = rng.standard_normal((1, model.input_length, 1)).astype(model.dtype)
@@ -306,18 +291,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
-    config = resolve_config(args)
-    config.require_data()
-    outdir = Path(config.outdir)
-    _write_resolved(config, outdir)
-    prepared = prepare_dataset(config)
-    model = build_papernet(
-        num_classes=prepared.num_classes,
-        input_length=prepared.features.shape[1],
-        variant=config.variant,
-        seed=config.seed,
-    )
-    model = data.load_weights(args.weights, model)
+    config, outdir, prepared = _begin_run(args, prepare_dataset)
+    model = _build_model(prepared, config, weights=args.weights)
     indices = prepared.splits.test if args.split == "test" else np.arange(len(prepared.labels))
     _export_attention_csv(model, prepared, indices, outdir)
     print(f"wrote attention weights for {len(indices)} samples to {outdir / 'attention.csv'}")
@@ -325,14 +300,7 @@ def cmd_export_attention(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    config = resolve_config(args)
-    config.require_data()
-    outdir = Path(config.outdir)
-    _write_resolved(config, outdir)
-    raw = data.load_csv(config.require_data())
-    filtered = dsp.preprocess_recording(
-        raw.features, config.sample_rate_hz, config.band_low_hz, config.band_high_hz
-    )
+    _, outdir, (raw, filtered) = _begin_run(args, _load_filtered)
     out_path = outdir / "filtered.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -344,30 +312,14 @@ def cmd_preprocess(args) -> int:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per RunConfig field."""
     sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--data", help="dataset CSV path")
-    sub.add_argument("--outdir", help="output directory")
-    sub.add_argument("--sample-rate-hz", dest="sample_rate_hz", type=float)
-    sub.add_argument("--band-low-hz", dest="band_low_hz", type=float)
-    sub.add_argument("--band-high-hz", dest="band_high_hz", type=float)
-    sub.add_argument("--variant", choices=VARIANTS)
-    sub.add_argument("--num-classes", dest="num_classes", type=int)
-    sub.add_argument("--lr0", type=float)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--max-epochs", dest="max_epochs", type=int)
-    sub.add_argument("--plateau-patience", dest="plateau_patience", type=int)
-    sub.add_argument("--plateau-factor", dest="plateau_factor", type=float)
-    sub.add_argument("--min-lr", dest="min_lr", type=float)
-    sub.add_argument("--early-stop-patience", dest="early_stop_patience", type=int)
-    sub.add_argument("--l2", type=float)
-    sub.add_argument("--dropout", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument(
-        "--no-class-weighting",
-        dest="class_weighting",
-        action="store_const",
-        const=False,
-    )
+    for name, kinds in _field_types().items():
+        flag = name.replace("_", "-")
+        if kinds == (bool,):
+            sub.add_argument(f"--no-{flag}", dest=name, action="store_const", const=False)
+        else:
+            sub.add_argument(f"--{flag}", dest=name, type=kinds[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,10 +373,10 @@ def main(argv=None) -> int:
     except (ConfigError, FilterDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, WeightFormatError) as exc:
+    except (DataError, WeightFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TrainingError, PapernetError) as exc:
+    except PapernetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, WeightFormatError
-from .model import CONV_WIDTHS, ModelGraph, build_papernet, forward
+from .dsp import NUM_CHANNELS
+from .model import VARIANTS, ModelGraph, build_papernet
 
 WEIGHT_MAGIC = b"PNW1"
 WEIGHT_VERSION = 1
-NUM_CHANNELS = 16
 DEFAULT_RATIOS = (0.70, 0.15, 0.15)
 
 
@@ -66,6 +66,7 @@ def load_csv(path) -> RawDataset:
             )
         features: list[list[float]] = []
         labels: list[int] = []
+        line_nos: list[int] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -83,18 +84,19 @@ def load_csv(path) -> RawDataset:
                 raise DataError(
                     f"{path}:{line_no}: non-numeric label {row[label_col]!r}"
                 ) from None
-            label = int(raw_label)
-            if label != raw_label or label < 0:
+            if not raw_label.is_integer() or raw_label < 0:
                 raise DataError(
                     f"{path}:{line_no}: label must be a non-negative integer, "
                     f"got {row[label_col]!r}"
                 )
             features.append(values)
-            labels.append(label)
-    return RawDataset(
-        features=np.asarray(features, dtype=np.float64).reshape(len(labels), NUM_CHANNELS),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+            labels.append(int(raw_label))
+            line_nos.append(line_no)
+    array = np.asarray(features, dtype=np.float64).reshape(len(labels), NUM_CHANNELS)
+    bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}:{line_nos[bad[0]]}: non-finite feature cell")
+    return RawDataset(features=array, labels=np.asarray(labels, dtype=np.int64))
 
 
 @dataclass
@@ -232,18 +234,38 @@ def _parse_weight_file(path):
     header_end = 12 + header_len
     if header_end > len(blob) - 8:
         raise WeightFormatError(f"{path}: header extends past end of file")
-    header = json.loads(blob[12:header_end].decode("utf-8"))
-    if header.get("version") != WEIGHT_VERSION:
-        raise WeightFormatError(f"{path}: unsupported version {header.get('version')}")
+    try:
+        header = json.loads(blob[12:header_end].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise WeightFormatError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict) or header.get("version") != WEIGHT_VERSION:
+        raise WeightFormatError(f"{path}: not a version {WEIGHT_VERSION} header object")
+    if not isinstance(header.get("variant"), str) or not isinstance(header.get("tensors"), list):
+        raise WeightFormatError(f"{path}: header needs a variant string and a tensors list")
     data = blob[header_end:-8]
     tensors = {}
     for entry in header["tensors"]:
-        start, length = entry["offset"], entry["len"]
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and len(entry["shape"]) <= 32  # numpy's dimension limit
+            and all(_is_count(v) for v in [entry.get("offset"), entry.get("len"), *entry["shape"]])
+        ):
+            raise WeightFormatError(f"{path}: malformed tensor entry {entry!r}")
+        name, start, length = entry["name"], entry["offset"], entry["len"]
+        if length != 4 * math.prod(entry["shape"]):
+            raise WeightFormatError(f"{path}: tensor {name!r} length disagrees with its shape")
         if start + length > len(data):
-            raise WeightFormatError(f"{path}: tensor {entry['name']} extends past data block")
+            raise WeightFormatError(f"{path}: tensor {name!r} extends past data block")
         arr = np.frombuffer(data, dtype="<f4", count=length // 4, offset=start)
-        tensors[entry["name"]] = arr.reshape(entry["shape"])
+        tensors[name] = arr.reshape(entry["shape"])
     return header, tensors
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (booleans excluded)."""
+    return type(value) is int and value >= 0
 
 
 def load_weights(path, model: ModelGraph | None = None, input_length: int = 16) -> ModelGraph:
@@ -255,11 +277,14 @@ def load_weights(path, model: ModelGraph | None = None, input_length: int = 16) 
     """
     header, tensors = _parse_weight_file(path)
     if model is None:
-        if "dense2.bias" not in tensors:
-            raise WeightFormatError(f"{path}: no dense2.bias tensor to size the head from")
-        num_classes = len(tensors["dense2.bias"])
+        head = tensors.get("dense2.bias")
+        if head is None or head.ndim != 1 or len(head) < 2 or header["variant"] not in VARIANTS:
+            raise WeightFormatError(
+                f"{path}: cannot size a model from variant {header['variant']!r} "
+                "and the dense2.bias tensor"
+            )
         model = build_papernet(
-            num_classes=num_classes,
+            num_classes=len(head),
             input_length=input_length,
             variant=header["variant"],
         )
@@ -298,20 +323,12 @@ def export_attention(model: ModelGraph, rows, batch_size: int = 256):
     """
     if model.variant == "no_attention":
         raise DataError("the no_attention variant has no attention weights to export")
+    from .training import infer_batches  # training imports this module
+
     rows = np.asarray(rows, dtype=model.dtype)
     if rows.ndim != 2:
         raise DataError(f"expected [n, {NUM_CHANNELS}] rows, got shape {rows.shape}")
-    collected = []
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start : start + batch_size]
-        batch = chunk.reshape(len(chunk), rows.shape[1], 1)
-        _, attn = forward(model, batch, mode="infer", return_attention=True)
-        collected.append(attn.data.copy())
-    per_sample = (
-        np.concatenate(collected, axis=0)
-        if collected
-        else np.zeros((0, CONV_WIDTHS[-1]), dtype=model.dtype)
-    )
+    per_sample = infer_batches(model, rows, batch_size, return_attention=True)
     return per_sample, per_sample.mean(axis=0)
 
 

@@ -82,7 +82,6 @@ def build_papernet(
     variant: str = "full",
     seed: int = 0,
     dtype=np.float32,
-    dropout_p: float = 0.3,
 ) -> ModelGraph:
     """Construct a model with freshly initialized parameters.
 
@@ -101,7 +100,6 @@ def build_papernet(
         variant=variant,
         num_classes=num_classes,
         input_length=input_length,
-        dropout_p=dropout_p,
         dtype=dtype,
     )
     p = model.params

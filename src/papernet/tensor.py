@@ -17,7 +17,6 @@ from .errors import NonFiniteError, ShapeError, TapeError
 __all__ = [
     "Tensor",
     "ComputationTape",
-    "activation",
     "add",
     "backward",
     "clamp_min",
@@ -28,7 +27,6 @@ __all__ = [
     "mul",
     "neg",
     "pow_scalar",
-    "reduce",
     "reduce_max",
     "reduce_mean",
     "reduce_sum",
@@ -440,23 +438,6 @@ def softmax_lastaxis(a) -> Tensor:
     return _make_output(data, (a,), "softmax_lastaxis", rule)
 
 
-_ACTIVATIONS = {
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax_lastaxis": softmax_lastaxis,
-}
-
-
-def activation(a, kind: str) -> Tensor:
-    """Dispatch on activation name: relu | sigmoid | tanh | softmax_lastaxis."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
-    return fn(a)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -525,18 +506,6 @@ def reduce_max(a, axis: int) -> Tensor:
         return (full,)
 
     return _make_output(data, (a,), "reduce_max", rule)
-
-
-_REDUCTIONS = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
-
-
-def reduce(a, kind: str, axis) -> Tensor:
-    """Dispatch on reduction name: sum | mean | max."""
-    try:
-        fn = _REDUCTIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown reduction kind {kind!r}") from None
-    return fn(a, axis)
 
 
 # ---------------------------------------------------------------------------

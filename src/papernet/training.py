@@ -14,7 +14,7 @@ import numpy as np
 from .data import SplitIndices, class_weights, save_weights
 from .errors import ConfigError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
-from .model import ModelGraph, forward
+from .model import CONV_WIDTHS, ModelGraph, forward
 from .tensor import (
     ComputationTape,
     Tensor,
@@ -47,7 +47,7 @@ class TrainConfig:
     class_weighting: bool = True
 
     def validate(self) -> None:
-        if self.lr0 < 0 or self.min_lr <= 0 or self.l2 < 0:
+        if not (self.lr0 >= 0 and self.min_lr > 0 and self.l2 >= 0):  # NaN fails too
             raise ConfigError("learning rates and l2 must be non-negative (min_lr > 0)")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be positive")
@@ -224,16 +224,26 @@ class TrainHistory:
         return max(r.val_macro_f1 for r in self.records)
 
 
-def predict_probs(model: ModelGraph, rows, batch_size: int = 256) -> np.ndarray:
-    """Infer-mode class probabilities for [n, T] or [n, T, 1] rows."""
+def infer_batches(model: ModelGraph, rows, batch_size: int = 256,
+                  return_attention: bool = False) -> np.ndarray:
+    """Infer-mode forward over [n, T] or [n, T, 1] rows, ``batch_size`` at a
+    time: the [n, K] class probabilities, or with ``return_attention`` the
+    [n, 128] attention vectors."""
     rows = np.asarray(rows, dtype=model.dtype)
     if rows.ndim == 2:
         rows = rows[:, :, None]
     out = []
     for start in range(0, len(rows), batch_size):
-        probs = forward(model, rows[start : start + batch_size], mode="infer")
-        out.append(probs.data.copy())
-    return np.concatenate(out, axis=0) if out else np.zeros((0, model.num_classes))
+        result = forward(model, rows[start : start + batch_size], mode="infer",
+                         return_attention=return_attention)
+        out.append((result[1] if return_attention else result).data.copy())
+    width = CONV_WIDTHS[-1] if return_attention else model.num_classes
+    return np.concatenate(out, axis=0) if out else np.zeros((0, width), dtype=model.dtype)
+
+
+def predict_probs(model: ModelGraph, rows, batch_size: int = 256) -> np.ndarray:
+    """Infer-mode class probabilities for [n, T] or [n, T, 1] rows."""
+    return infer_batches(model, rows, batch_size)
 
 
 def train(

@@ -1,14 +1,23 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import papernet.checks as checks_mod
 import papernet.tensor as tensor_mod
-from papernet.cli import main
+from papernet.cli import build_parser, main
 from papernet.data import load_weights
 from papernet.model import build_papernet, count_parameters
 from papernet.tensor import Tensor, gradcheck
+
+from conftest import write_csv
+
+REPO = Path(__file__).resolve().parents[1]
 
 def run(argv):
     return main(argv)
@@ -199,3 +208,114 @@ class TestWeightsInterchange:
         model = load_weights(outdir / "weights_best")
         assert model.variant == "full"
         assert count_parameters(model) == 159_844
+
+
+def _const_csv(path, labels, value=0.0):
+    """A CSV whose feature cells all hold ``value``, with the given labels."""
+    write_csv(path, np.full((len(labels), 16), value), np.asarray(labels, dtype=np.int64))
+    return path
+
+
+BAD_INPUTS = {
+    "evaluate_missing_weights": (3, lambda d, t: [
+        "evaluate", "--data", str(d), "--outdir", str(t / "o"),
+        "--weights", str(t / "missing")]),
+    "bench_missing_weights": (3, lambda d, t: ["bench", "--weights", str(t / "missing")]),
+    "data_is_directory": (3, lambda d, t: ["train", "--data", str(t), "--outdir", str(t / "o")]),
+    "outdir_is_file": (3, lambda d, t: ["train", "--data", str(d), "--outdir", str(d)]),
+    "single_class": (3, lambda d, t: [
+        "train", "--data", str(_const_csv(t / "one.csv", [0] * 40)), "--outdir", str(t / "o")]),
+    "header_only": (3, lambda d, t: [
+        "train", "--data", str(_const_csv(t / "empty.csv", [])), "--outdir", str(t / "o")]),
+    "non_finite_cell": (3, lambda d, t: [
+        "train", "--data", str(_const_csv(t / "nan.csv", [0, 1] * 20, np.nan)),
+        "--outdir", str(t / "o")]),
+    "unknown_variant": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--variant", "tiny"]),
+    "num_classes_0": (2, lambda d, t: [
+        "preprocess", "--data", str(d), "--outdir", str(t / "o"), "--num-classes", "0"]),
+    "nan_learning_rate": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--lr0", "nan"]),
+    "bench_input_length_1": (2, lambda d, t: [
+        "bench", "--weights", str(t / "missing"), "--input-length", "1"]),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", BAD_INPUTS, ids=list(BAD_INPUTS))
+    def test_bad_input_exit_code_and_one_line(self, case, synthetic_csv, tmp_path, capsys):
+        code, make_argv = BAD_INPUTS[case]
+        assert run(make_argv(synthetic_csv, tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("value", ['"0"', "true", "1.5", "null"])
+    def test_config_value_of_wrong_type_exit_2(self, synthetic_csv, tmp_path, capsys, value):
+        config_path = tmp_path / "typed.json"
+        config_path.write_text(f'{{"data": "{synthetic_csv}", "seed": {value}}}')
+        assert run(["train", "--config", str(config_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
+CONFIG_FLAGS = [
+    "--band-high-hz", "--band-low-hz", "--batch-size", "--config", "--data", "--dropout",
+    "--early-stop-patience", "--help", "--l2", "--lr0", "--max-epochs", "--min-lr",
+    "--no-class-weighting", "--num-classes", "--outdir", "--plateau-factor",
+    "--plateau-patience", "--sample-rate-hz", "--seed", "--variant", "-h",
+]
+
+
+class TestCliSurface:
+    def _subcommands(self):
+        parser = build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return subs.choices
+
+    def test_option_strings_per_subcommand(self):
+        expected = {
+            "train": CONFIG_FLAGS,
+            "evaluate": sorted(CONFIG_FLAGS + ["--split", "--weights"]),
+            "ablate": CONFIG_FLAGS,
+            "bench": ["--help", "--input-length", "--n-samples", "--weights", "-h"],
+            "gradcheck": ["--help", "-h"],
+            "export-attention": sorted(CONFIG_FLAGS + ["--split", "--weights"]),
+            "preprocess": CONFIG_FLAGS,
+        }
+        surface = {
+            name: sorted(o for a in sub._actions for o in a.option_strings)
+            for name, sub in self._subcommands().items()
+        }
+        assert surface == expected
+
+    def test_no_class_weighting_flag(self):
+        for sub in self._subcommands().values():
+            for action in sub._actions:
+                if "--no-class-weighting" in action.option_strings:
+                    assert (action.dest, action.const, action.default) == (
+                        "class_weighting", False, None,
+                    )
+
+    def test_resolved_config_keys_and_defaults(self, synthetic_csv, tmp_path):
+        outdir = tmp_path / "pre"
+        assert run(["preprocess", "--data", str(synthetic_csv), "--outdir", str(outdir)]) == 0
+        resolved = json.loads((outdir / "config_resolved.json").read_text())
+        assert resolved == {
+            "lr0": 0.001, "batch_size": 64, "max_epochs": 100,
+            "plateau_patience": 3, "plateau_factor": 0.5, "min_lr": 1e-06,
+            "early_stop_patience": 6, "l2": 0.0001, "dropout": 0.3,
+            "seed": 0, "class_weighting": True,
+            "data": str(synthetic_csv), "outdir": str(outdir),
+            "sample_rate_hz": 256.0, "band_low_hz": 0.5, "band_high_hz": 45.0,
+            "variant": "full", "num_classes": None,
+        }
+
+
+def test_cli_walkthrough_demo_runs(tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(REPO / "demos" / "06_cli_walkthrough.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "all outputs under" in result.stdout

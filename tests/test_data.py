@@ -1,8 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from papernet.data import (
+    WEIGHT_MAGIC,
     SingleUse,
+    _parse_weight_file,
     attention_to_csv,
     class_weights,
     crc64,
@@ -68,6 +75,23 @@ class TestLoadCsv:
         row = ",".join(["0.5"] * 16 + ["1.5"])
         path.write_text(f"{header}\n{row}\n")
         with pytest.raises(DataError, match="label"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        header = ",".join([f"X{i+1}" for i in range(16)] + ["y"])
+        good = ",".join(["0.5"] * 16 + ["1"])
+        bad = ",".join(["0.5"] * 7 + [cell] + ["0.5"] * 8 + ["1"])
+        path.write_text(f"{header}\n{good}\n\n{bad}\n{bad}\n")
+        with pytest.raises(DataError, match=":4: non-finite"):
+            load_csv(path)
+
+    def test_non_finite_label_rejected(self, tmp_path):
+        path = tmp_path / "nanlabel.csv"
+        header = ",".join([f"X{i+1}" for i in range(16)] + ["y"])
+        path.write_text(header + "\n" + ",".join(["0.5"] * 16 + ["nan"]) + "\n")
+        with pytest.raises(DataError, match=":2: label"):
             load_csv(path)
 
 
@@ -240,6 +264,87 @@ class TestWeightFiles:
         save_weights(build_papernet(num_classes=4, seed=5), path)
         with pytest.raises(WeightFormatError, match="dense2"):
             load_weights(path, build_papernet(num_classes=3, seed=5))
+
+
+def _weight_blob(header: bytes, body: bytes = b"", header_len=None) -> bytes:
+    """A weight file around ``header`` and ``body`` with a valid CRC-64."""
+    size = len(header) if header_len is None else header_len
+    blob = WEIGHT_MAGIC + struct.pack("<Q", size) + header + body
+    return blob + struct.pack("<Q", crc64(blob))
+
+
+class TestWeightHeader:
+    @pytest.mark.parametrize(
+        "header, body",
+        [
+            (b'{"version": 1, "variant": "full"}', b""),
+            (b"\xff\xfe{}", b""),
+            (b"[1, 2]", b""),
+            (json.dumps({"version": 1, "variant": "full", "tensors": [
+                {"name": "a", "shape": [3], "offset": 0, "len": 8}]}).encode(), bytes(8)),
+            (json.dumps({"version": 1, "variant": "full", "tensors": [
+                {"name": "a", "shape": [2], "offset": -4, "len": 8}]}).encode(), bytes(8)),
+            (json.dumps({"version": 1, "variant": "full", "tensors": [
+                {"name": "a", "shape": [2], "offset": 4, "len": 8}]}).encode(), bytes(8)),
+        ],
+        ids=["no_tensors", "not_utf8", "not_object", "shape_vs_len", "negative_offset",
+             "past_end"],
+    )
+    def test_bad_header_is_format_error(self, tmp_path, header, body):
+        path = tmp_path / "w"
+        path.write_bytes(_weight_blob(header, body))
+        with pytest.raises(WeightFormatError):
+            _parse_weight_file(path)
+
+    def test_valid_header_parses(self, tmp_path):
+        header = {"version": 1, "variant": "full", "tensors": [
+            {"name": "a", "shape": [2, 1], "offset": 0, "len": 8}]}
+        path = tmp_path / "w"
+        path.write_bytes(_weight_blob(json.dumps(header).encode(), np.ones(2, "<f4").tobytes()))
+        _, tensors = _parse_weight_file(path)
+        np.testing.assert_array_equal(tensors["a"], [[1.0], [1.0]])
+
+
+_json_leaf = (
+    st.none() | st.booleans() | st.integers(-8, 64)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["version", "variant", "tensors", "name", "shape", "offset", "len"]),
+        inner, max_size=7,
+    ),
+    max_leaves=20,
+)
+_entry = st.fixed_dictionaries({
+    "name": st.sampled_from(["dense2.bias", "conv1.bias"]) | _json,
+    "shape": st.lists(st.integers(-2, 5), max_size=3) | _json,
+    "offset": st.integers(-4, 40) | _json,
+    "len": st.integers(-4, 40) | _json,
+})
+_header = st.fixed_dictionaries({
+    "version": st.just(1) | _json,
+    "variant": st.sampled_from(["full", "no_lstm"]) | _json,
+    "tensors": st.lists(_entry, max_size=3) | _json,
+})
+_header_bytes = st.binary(max_size=64) | (_json | _header).map(lambda v: json.dumps(v).encode())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=_header_bytes, body=st.binary(max_size=48),
+       header_len=st.none() | st.integers(0, 2**64 - 1))
+def test_weight_parser_raises_only_format_errors(tmp_path, header, body, header_len):
+    """Arbitrary header and body bytes behind a valid CRC-64 either parse or
+    raise WeightFormatError, in the parser and in load_weights."""
+    path = tmp_path / "w"
+    path.write_bytes(_weight_blob(header, body, header_len))
+    for parse in (_parse_weight_file, load_weights):
+        try:
+            parse(path)
+        except WeightFormatError:
+            pass
 
 
 class TestSingleUse:

@@ -5,7 +5,6 @@ from papernet.errors import NonFiniteError, ShapeError, TapeError
 from papernet.tensor import (
     ComputationTape,
     Tensor,
-    activation,
     add,
     backward,
     clamp_min,
@@ -16,7 +15,6 @@ from papernet.tensor import (
     mul,
     neg,
     pow_scalar,
-    reduce,
     reduce_max,
     reduce_mean,
     reduce_sum,
@@ -99,12 +97,6 @@ class TestActivations:
             np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
             assert np.all(out.data > 0) and np.all(out.data < 1)
 
-    def test_dispatch(self):
-        x = Tensor([0.3])
-        assert activation(x, "tanh").data[0] == pytest.approx(np.tanh(0.3))
-        with pytest.raises(ValueError):
-            activation(x, "gelu")
-
     def test_non_finite_input_rejected(self):
         with pytest.raises(NonFiniteError):
             relu(Tensor(np.array([np.nan])))
@@ -126,12 +118,6 @@ class TestReductions:
     def test_sum_empty_axis_errors(self):
         with pytest.raises(ShapeError):
             reduce_sum(Tensor(np.zeros((0,))), axis=0)
-
-    def test_dispatch(self):
-        out = reduce(Tensor([[1.0, 3.0], [5.0, 7.0]]), "sum", 1)
-        np.testing.assert_array_equal(out.data, [4.0, 12.0])
-        with pytest.raises(ValueError):
-            reduce(Tensor([1.0]), "median", 0)
 
 
 class TestBackward:
