@@ -98,7 +98,7 @@ def check_conv1d() -> float:
 
 def check_maxpool() -> float:
     rng = np.random.default_rng(20)
-    return gradcheck(lambda x: layers.maxpool1d(x, 2, 2), _t(rng, 2, 6, 3))
+    return gradcheck(lambda x: layers.maxpool1d(x, 2), _t(rng, 2, 6, 3))
 
 
 def check_batchnorm() -> float:
@@ -137,9 +137,7 @@ def check_bilstm() -> float:
     x = _t(rng, 2, 5, width)
     w_f, b_f = _t(rng, 4 * hidden, width + hidden), _t(rng, 4 * hidden)
     w_b, b_b = _t(rng, 4 * hidden, width + hidden), _t(rng, 4 * hidden)
-    return gradcheck(
-        lambda *ts: layers.bilstm(*ts, hidden=hidden), [x, w_f, b_f, w_b, b_b]
-    )
+    return gradcheck(layers.bilstm, [x, w_f, b_f, w_b, b_b])
 
 
 def check_dense() -> float:
@@ -192,7 +190,6 @@ def _check_model(variant: str) -> float:
         eps=1e-5,
         max_coords=MODEL_COORDS_PER_TENSOR,
         seed=3,
-        coord_strategy="largest",
     )
 
 

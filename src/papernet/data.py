@@ -14,8 +14,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -50,53 +52,65 @@ def load_csv(path) -> RawDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if "y" in header:
-            label_col = header.index("y")
-        else:
-            label_col = len(header) - 1
-        feature_cols = [i for i in range(len(header)) if i != label_col]
-        if len(feature_cols) != NUM_CHANNELS:
-            raise DataError(
-                f"{path}: expected {NUM_CHANNELS} feature columns plus a label, "
-                f"got {len(feature_cols)} feature columns"
-            )
-        features: list[list[float]] = []
-        labels: list[int] = []
-        line_nos: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                values = [float(row[i]) for i in feature_cols]
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: non-numeric feature cell ({exc})") from None
-            try:
-                raw_label = float(row[label_col])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{line_no}: non-numeric label {row[label_col]!r}"
-                ) from None
-            if not raw_label.is_integer() or raw_label < 0:
-                raise DataError(
-                    f"{path}:{line_no}: label must be a non-negative integer, "
-                    f"got {row[label_col]!r}"
-                )
-            features.append(values)
-            labels.append(int(raw_label))
-            line_nos.append(line_no)
+            features, labels, line_nos = _read_rows(path, reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
     array = np.asarray(features, dtype=np.float64).reshape(len(labels), NUM_CHANNELS)
     bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
     if len(bad):
         raise DataError(f"{path}:{line_nos[bad[0]]}: non-finite feature cell")
     return RawDataset(features=array, labels=np.asarray(labels, dtype=np.int64))
+
+
+def _read_rows(path, reader):
+    """Feature rows, labels and the line number of each row; every bad cell
+    is a DataError naming its line."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, header row required") from None
+    header = [h.strip() for h in header]
+    if "y" in header:
+        label_col = header.index("y")
+    else:
+        label_col = len(header) - 1
+    feature_cols = [i for i in range(len(header)) if i != label_col]
+    if len(feature_cols) != NUM_CHANNELS:
+        raise DataError(
+            f"{path}: expected {NUM_CHANNELS} feature columns plus a label, "
+            f"got {len(feature_cols)} feature columns"
+        )
+    features: list[list[float]] = []
+    labels: list[int] = []
+    line_nos: list[int] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        try:
+            values = [float(row[i]) for i in feature_cols]
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: non-numeric feature cell ({exc})") from None
+        try:
+            raw_label = float(row[label_col])
+        except ValueError:
+            raise DataError(
+                f"{path}:{line_no}: non-numeric label {row[label_col]!r}"
+            ) from None
+        if not raw_label.is_integer() or not 0 <= raw_label < 2.0**63:
+            raise DataError(
+                f"{path}:{line_no}: label must be a non-negative 64-bit integer, "
+                f"got {row[label_col]!r}"
+            )
+        features.append(values)
+        labels.append(int(raw_label))
+        line_nos.append(line_no)
+    return features, labels, line_nos
 
 
 @dataclass
@@ -201,7 +215,9 @@ def crc64(data: bytes) -> int:
 
 
 def save_weights(model: ModelGraph, path) -> None:
-    """Serialize all parameters (running stats included) as float32."""
+    """Serialize all parameters (running stats included) as float32. The
+    bytes go to a sibling temp file that one ``os.replace`` moves into place,
+    so ``path`` never holds a partial file."""
     entries = []
     blobs = []
     offset = 0
@@ -216,8 +232,16 @@ def save_weights(model: ModelGraph, path) -> None:
         {"version": WEIGHT_VERSION, "variant": model.variant, "tensors": entries}
     ).encode("utf-8")
     body = WEIGHT_MAGIC + struct.pack("<Q", len(header)) + header + b"".join(blobs)
-    with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<Q", crc64(body)))
+    blob = body + struct.pack("<Q", crc64(body))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_weight_file(path):

@@ -3,9 +3,10 @@ and train-statistics standardization.
 
 The band-pass cascade comes from an order-4 analog Butterworth prototype
 (low-pass to band-pass transformation, bilinear transform with frequency
-pre-warping), realized as second-order sections. Zero-phase filtering runs
-the cascade forward and backward over an odd-reflection extension so the
-net magnitude response is |H|^2 with no phase distortion.
+pre-warping), realized as second-order sections. Zero-phase filtering is
+scipy's ``sosfiltfilt``: the cascade runs forward and backward over an
+odd-reflection extension so the net magnitude response is |H|^2 with no
+phase distortion.
 """
 
 from __future__ import annotations
@@ -75,38 +76,30 @@ def butter_bandpass_design(
 
 
 def frequency_response(cascade: BiquadCascade, f_hz) -> np.ndarray | float:
-    """|H(e^{j omega})| by direct substitution, omega = 2 pi f / fs."""
+    """|H(e^{j omega})| at ``f_hz`` (a scalar or a 1-D array of Hz)."""
     f = np.asarray(f_hz, dtype=np.float64)
     if np.any(f < 0) or np.any(f > cascade.nyquist):
         raise FilterDesignError(f"frequency outside [0, Nyquist]: {f_hz}")
-    z_inv = np.exp(-2j * np.pi * f / cascade.sample_rate_hz)
-    h = np.ones_like(z_inv, dtype=np.complex128)
-    for b0, b1, b2, _, a1, a2 in cascade.sections:
-        num = b0 + b1 * z_inv + b2 * z_inv**2
-        den = 1.0 + a1 * z_inv + a2 * z_inv**2
-        h *= num / den
+    _, h = _signal.sosfreqz(
+        cascade.sections, worN=np.atleast_1d(f), fs=cascade.sample_rate_hz
+    )
     mag = np.abs(h)
-    return float(mag) if np.isscalar(f_hz) else mag
+    return float(mag[0]) if np.isscalar(f_hz) else mag
 
 
 def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
-    """Zero-phase filtering: odd-reflection padding of length 3*(2*order+1),
-    one forward and one reverse pass, then trim."""
+    """Zero-phase filtering along axis 0 of a 1-D signal or of [N, C]
+    channel columns, each column on its own; odd-reflection padding of
+    length 3*(2*order+1)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"filtfilt expects a 1-D signal, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise DataError(
+            f"filtfilt expects a 1-D signal or [N, C] columns, got shape {x.shape}"
+        )
     pad = 3 * (2 * cascade.order + 1)
     if len(x) <= pad:
         raise DataError(f"signal length {len(x)} too short for padding {pad}")
-    left = 2.0 * x[0] - x[pad:0:-1]
-    right = 2.0 * x[-1] - x[-2 : -pad - 2 : -1]
-    ext = np.concatenate([left, x, right])
-    zi = _signal.sosfilt_zi(cascade.sections)
-    y, _ = _signal.sosfilt(cascade.sections, ext, zi=zi * ext[0])
-    y = y[::-1]
-    y, _ = _signal.sosfilt(cascade.sections, y, zi=zi * y[0])
-    y = y[::-1]
-    return y[pad:-pad]
+    return _signal.sosfiltfilt(cascade.sections, x, axis=0, padlen=pad)
 
 
 def preprocess_recording(
@@ -124,10 +117,7 @@ def preprocess_recording(
             f"expected [N, {NUM_CHANNELS}] channel columns, got shape {feats.shape}"
         )
     cascade = butter_bandpass_design(order, low_hz, high_hz, sample_rate_hz)
-    out = np.empty_like(feats)
-    for ch in range(feats.shape[1]):
-        out[:, ch] = filtfilt(cascade, feats[:, ch])
-    return out
+    return filtfilt(cascade, feats)
 
 
 @dataclass
@@ -137,9 +127,6 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
     fitted_on: str
-
-    def __call__(self, rows) -> np.ndarray:
-        return apply_standardizer(self, rows)
 
 
 def fit_standardizer(filtered, train_indices) -> Standardizer:

@@ -1,9 +1,11 @@
 """Network layers: 1-D convolution, batch norm, pooling, channel attention,
 bidirectional LSTM, dropout, and dense projections.
 
-Every layer is differentiable through the tape in :mod:`papernet.tensor`;
-hand-written backward rules exist only where a fused forward is worth it
-(convolution, max pooling), and those are covered by gradient checks.
+Sequence layers take batched [B, T, C] tensors only; dense and dropout
+act on [B, F]. Every layer is differentiable through the tape in
+:mod:`papernet.tensor`; hand-written backward rules exist only where a fused
+forward is worth it (convolution, max pooling), and those are covered by
+gradient checks.
 """
 
 from __future__ import annotations
@@ -38,19 +40,15 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _batched(x: Tensor) -> tuple[Tensor, bool]:
-    """Promote a [T, C] tensor to [1, T, C]; report whether it was promoted."""
-    if x.ndim == 2:
-        return reshape(x, (1,) + x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected a 2-D or 3-D tensor, got shape {x.shape}")
+def _require_btc(x: Tensor, layer: str) -> None:
+    if x.ndim != 3:
+        raise ShapeError(f"{layer} expects [B, T, C], got shape {x.shape}")
 
 
 def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-length 1-D cross-correlation with zero padding, stride 1.
+    """Same-length 1-D cross-correlation with zero padding.
 
-    ``x`` is [T, Cin] or [B, T, Cin]; ``kernel`` is [k, Cin, Cout] with odd k;
+    ``x`` is [B, T, Cin]; ``kernel`` is [k, Cin, Cout] with odd k;
     ``bias`` is [Cout].
     """
     if kernel.ndim != 3:
@@ -60,8 +58,7 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"kernel length must be odd, got {k}")
     if bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} does not match Cout={c_out}")
-    unbatched = x.ndim == 2
-    xd = x.data[None] if unbatched else x.data
+    xd = x.data
     if xd.ndim != 3 or xd.shape[2] != c_in:
         raise ShapeError(
             f"input shape {x.shape} does not match kernel channels Cin={c_in}"
@@ -74,34 +71,25 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     flat = patches.reshape(batch * length, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
     out = (flat @ w2d + bias.data).reshape(batch, length, c_out)
-    if unbatched:
-        out = out[0]
 
     def rule(g):
-        gb = (g[None] if unbatched else g).reshape(batch * length, c_out)
+        gb = g.reshape(batch * length, c_out)
         d_bias = gb.sum(axis=0)
         d_kernel = (flat.T @ gb).reshape(k, c_in, c_out)
         d_patches = (gb @ w2d.T).reshape(batch, length, k, c_in)
         d_xp = np.zeros_like(xp)
         for i in range(k):
             d_xp[:, i : i + length, :] += d_patches[:, :, i, :]
-        d_x = d_xp[:, pad : pad + length, :]
-        if unbatched:
-            d_x = d_x[0]
-        return d_x, d_kernel, d_bias
+        return d_xp[:, pad : pad + length, :], d_kernel, d_bias
 
     return _make_output(out, (x, kernel, bias), "conv1d_same", rule)
 
 
-def maxpool1d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
-    """Per-channel window maximum; a trailing window shorter than ``pool``
-    is dropped. Only stride == pool is supported."""
-    if stride != pool:
-        raise ShapeError("maxpool1d supports stride == pool only")
-    unbatched = x.ndim == 2
-    xd = x.data[None] if unbatched else x.data
-    if xd.ndim != 3:
-        raise ShapeError(f"expected [T, C] or [B, T, C], got shape {x.shape}")
+def maxpool1d(x: Tensor, pool: int = 2) -> Tensor:
+    """Per-channel maximum over non-overlapping windows of ``pool`` steps of
+    a [B, T, C] tensor; a trailing window shorter than ``pool`` is dropped."""
+    _require_btc(x, "maxpool1d")
+    xd = x.data
     batch, length, channels = xd.shape
     if length < pool:
         raise ShapeError(f"input length {length} shorter than pool {pool}")
@@ -109,17 +97,12 @@ def maxpool1d(x: Tensor, pool: int = 2, stride: int = 2) -> Tensor:
     windows = xd[:, : t_out * pool, :].reshape(batch, t_out, pool, channels)
     out = windows.max(axis=2)
     argmax = windows.argmax(axis=2)  # first index on ties
-    if unbatched:
-        out = out[0]
 
     def rule(g):
-        gb = g[None] if unbatched else g
         d_win = np.zeros_like(windows)
-        np.put_along_axis(d_win, argmax[:, :, None, :], gb[:, :, None, :], axis=2)
+        np.put_along_axis(d_win, argmax[:, :, None, :], g[:, :, None, :], axis=2)
         d_x = np.zeros_like(xd)
         d_x[:, : t_out * pool, :] = d_win.reshape(batch, t_out * pool, channels)
-        if unbatched:
-            d_x = d_x[0]
         return (d_x,)
 
     return _make_output(out, (x,), "maxpool1d", rule)
@@ -135,15 +118,17 @@ def batchnorm(
     eps: float = 1e-3,
     momentum: float = 0.9,
 ) -> Tensor:
-    """Per-channel batch normalization over (batch, time).
+    """Per-channel batch normalization of [B, T, C] over (batch, time).
 
     Train mode normalizes with batch statistics and updates the running
     stats in place as new = momentum * old + (1 - momentum) * batch;
-    infer mode normalizes with the running stats.
+    infer mode normalizes with the running stats. The default momentum is
+    0.9, not the common 0.99: 0.99 would need several hundred updates before
+    the running stats shed their 0/1 initialization; desk-scale runs (tens
+    of batches) never get there and infer-mode metrics stay garbage.
     """
     _check_mode(mode)
-    if x.ndim != 3:
-        raise ShapeError(f"batchnorm expects [B, T, C], got shape {x.shape}")
+    _require_btc(x, "batchnorm")
     channels = x.shape[2]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeError("gamma/beta width does not match channel count")
@@ -173,25 +158,22 @@ def se_residual_attention(
 ) -> tuple[Tensor, Tensor]:
     """Squeeze-and-excitation over the feature axis.
 
-    ``feats`` is [T, C] or [B, T, C]. The time-mean descriptor goes through
-    the two-layer bottleneck given by w1/w2 (ReLU then sigmoid); with
+    ``feats`` is [B, T, C]. The time-mean descriptor goes through the
+    two-layer bottleneck given by w1/w2 (ReLU then sigmoid); with
     ``residual`` the output is (1 + a) * F, otherwise a * F.
-    Returns (output, attention).
+    Returns (output [B, T, C], attention [B, C]).
     """
-    fb, unbatched = _batched(feats)
-    channels = fb.shape[2]
+    _require_btc(feats, "se_residual_attention")
+    batch, _, channels = feats.shape
     if w1.shape[0] != channels or w2.shape[1] != channels:
         raise ShapeError(
             f"bottleneck shapes {w1.shape}/{w2.shape} do not match width {channels}"
         )
-    desc = reduce_mean(fb, axis=1)
+    desc = reduce_mean(feats, axis=1)
     hidden = relu(add(matmul(desc, w1), b1))
     attn = sigmoid(add(matmul(hidden, w2), b2))
-    scaled = mul(fb, reshape(attn, (fb.shape[0], 1, channels)))
-    out = add(scaled, fb) if residual else scaled
-    if unbatched:
-        out = reshape(out, out.shape[1:])
-        attn = reshape(attn, (channels,))
+    scaled = mul(feats, reshape(attn, (batch, 1, channels)))
+    out = add(scaled, feats) if residual else scaled
     return out, attn
 
 
@@ -205,6 +187,8 @@ def _lstm_direction(
             f"LSTM weight shape {weight.shape} does not match [4H, D+H]="
             f"[{h4}, {width + hidden}]"
         )
+    if bias.shape != (h4,):
+        raise ShapeError(f"LSTM bias shape {bias.shape} does not match [4H]=[{h4}]")
     w_in = transpose(slice_axis(weight, 1, 0, width))  # [D, 4H]
     w_rec = transpose(slice_axis(weight, 1, width, width + hidden))  # [H, 4H]
     # Input projections for all steps at once.
@@ -232,23 +216,22 @@ def bilstm(
     b_forward: Tensor,
     w_backward: Tensor,
     b_backward: Tensor,
-    hidden: int = 64,
 ) -> Tensor:
     """Single-layer bidirectional LSTM with zero initial state.
 
-    ``x`` is [T, D] or [B, T, D]; output concatenates the two directions per
-    time step to width 2 * hidden.
+    ``x`` is [B, T, D]. The hidden width H is read from the weights: both
+    directions take a [4H, D+H] weight (gate rows i, f, g, o) and a [4H]
+    bias. The output concatenates the two directions per time step to
+    [B, T, 2H].
     """
-    xb, unbatched = _batched(x)
-    fwd = _lstm_direction(xb, w_forward, b_forward, hidden, reverse=False)
-    bwd = _lstm_direction(xb, w_backward, b_backward, hidden, reverse=True)
-    out = concat([fwd, bwd], axis=2)
-    if unbatched:
-        out = reshape(out, out.shape[1:])
-    return out
+    _require_btc(x, "bilstm")
+    hidden = w_forward.shape[0] // 4
+    fwd = _lstm_direction(x, w_forward, b_forward, hidden, reverse=False)
+    bwd = _lstm_direction(x, w_backward, b_backward, hidden, reverse=True)
+    return concat([fwd, bwd], axis=2)
 
 
-def dropout(x: Tensor, p: float = 0.3, mode: str = "infer", rng=None) -> Tensor:
+def dropout(x: Tensor, p: float, mode: str = "infer", rng=None) -> Tensor:
     """Inverted dropout: train mode zeroes with probability p and rescales
     survivors by 1/(1-p); infer mode is the identity."""
     _check_mode(mode)
@@ -268,10 +251,10 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def global_avg_pool_time(x: Tensor) -> Tensor:
-    """Mean over the time axis of [B, T, C] (or [T, C]) features."""
-    return reduce_mean(x, axis=x.ndim - 2)
+    """Mean over the time axis of [B, T, C] features."""
+    return reduce_mean(x, axis=1)
 
 
 def global_max_pool_time(x: Tensor) -> Tensor:
-    """Max over the time axis of [B, T, C] (or [T, C]) features."""
-    return reduce_max(x, axis=x.ndim - 2)
+    """Max over the time axis of [B, T, C] features."""
+    return reduce_max(x, axis=1)

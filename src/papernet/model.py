@@ -24,11 +24,6 @@ CONV_KERNELS = (5, 5, 3)
 SE_BOTTLENECK = 32
 LSTM_HIDDEN = 64
 DENSE_WIDTH = 128
-BN_EPS = 1e-3
-# 0.99 would need several hundred updates before the running stats shed
-# their 0/1 initialization; desk-scale runs (tens of batches) never get
-# there and infer-mode metrics stay garbage, so track faster
-BN_MOMENTUM = 0.9
 
 
 @dataclass
@@ -197,12 +192,10 @@ def forward(
             p[f"bn{i}.running_mean"],
             p[f"bn{i}.running_var"],
             mode,
-            eps=BN_EPS,
-            momentum=BN_MOMENTUM,
         )
         record(f"conv_block{i}", x)
         if i == 2:
-            x = layers.maxpool1d(x, pool=2, stride=2)
+            x = layers.maxpool1d(x, pool=2)
             record("maxpool", x)
 
     attn = None
@@ -227,7 +220,6 @@ def forward(
             p["lstm_fw.bias"],
             p["lstm_bw.weight"],
             p["lstm_bw.bias"],
-            hidden=LSTM_HIDDEN,
         )
         record("bilstm", x)
         x = layers.global_max_pool_time(x)

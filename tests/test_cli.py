@@ -216,6 +216,11 @@ def _const_csv(path, labels, value=0.0):
     return path
 
 
+def _bytes_csv(path, blob):
+    path.write_bytes(blob)
+    return path
+
+
 BAD_INPUTS = {
     "evaluate_missing_weights": (3, lambda d, t: [
         "evaluate", "--data", str(d), "--outdir", str(t / "o"),
@@ -229,6 +234,13 @@ BAD_INPUTS = {
         "train", "--data", str(_const_csv(t / "empty.csv", [])), "--outdir", str(t / "o")]),
     "non_finite_cell": (3, lambda d, t: [
         "train", "--data", str(_const_csv(t / "nan.csv", [0, 1] * 20, np.nan)),
+        "--outdir", str(t / "o")]),
+    "not_utf8": (3, lambda d, t: [
+        "preprocess", "--data", str(_bytes_csv(t / "ff.csv", d.read_bytes() + b"\xff\n")),
+        "--outdir", str(t / "o")]),
+    "oversized_cell": (3, lambda d, t: [
+        "preprocess", "--data",
+        str(_bytes_csv(t / "big.csv", d.read_bytes() + b'"' + b"1" * 131_073 + b'"\n')),
         "--outdir", str(t / "o")]),
     "unknown_variant": (2, lambda d, t: [
         "train", "--data", str(d), "--outdir", str(t / "o"), "--variant", "tiny"]),
@@ -310,12 +322,23 @@ class TestCliSurface:
         }
 
 
-def test_cli_walkthrough_demo_runs(tmp_path):
+# Every demo but 04, which trains for about 12 s; each demo's last line.
+DEMOS = {
+    "01_autodiff_basics": "gradcheck softmax",
+    "02_bandpass_filter": "cross-correlation peak lag: 0 samples",
+    "03_model_anatomy": "most-weighted feature channels",
+    "05_metrics_tour": "six samples cannot reach significance",
+    "06_cli_walkthrough": "all outputs under",
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(REPO / "demos" / "06_cli_walkthrough.py")],
+        [sys.executable, str(REPO / "demos" / f"{demo}.py")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert "all outputs under" in result.stdout
+    assert DEMOS[demo] in result.stdout.splitlines()[-1]

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import struct
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from papernet import data
 from papernet.data import (
     WEIGHT_MAGIC,
+    RawDataset,
     SingleUse,
     _parse_weight_file,
     attention_to_csv,
@@ -93,6 +97,27 @@ class TestLoadCsv:
         path.write_text(header + "\n" + ",".join(["0.5"] * 16 + ["nan"]) + "\n")
         with pytest.raises(DataError, match=":2: label"):
             load_csv(path)
+
+
+CSV_HEADER = (",".join([f"X{i+1}" for i in range(16)] + ["y"]) + "\n").encode()
+_cell = st.sampled_from(["0.5", "-3", "1", "2.5", "1e19", "1e400", "nan", "", "x", '"', '"1,2"'])
+_rows = st.lists(
+    st.lists(_cell | st.text(max_size=4), min_size=15, max_size=18).map(",".join), max_size=4
+).map(lambda rows: "\n".join(rows).encode())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.binary(max_size=96) | _rows | st.tuples(_rows, st.binary(max_size=16)).map(b"".join))
+def test_csv_loader_raises_only_data_errors(tmp_path, body):
+    """Arbitrary bytes after a valid 17-column header either load or raise
+    DataError."""
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(CSV_HEADER + body)
+    try:
+        assert isinstance(load_csv(path), RawDataset)
+    except DataError:
+        pass
 
 
 class TestStratifiedSplit:
@@ -271,6 +296,45 @@ def _weight_blob(header: bytes, body: bytes = b"", header_len=None) -> bytes:
     size = len(header) if header_len is None else header_len
     blob = WEIGHT_MAGIC + struct.pack("<Q", size) + header + body
     return blob + struct.pack("<Q", crc64(blob))
+
+
+class _HalfWriter:
+    """A file opened for writing that keeps half of what it is given, then
+    fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, blob):
+        self.fh.write(blob[: len(blob) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failure_keeps_earlier_file(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "weights"
+        save_weights(build_papernet(seed=0), path)
+        before = path.read_bytes()
+        if failing == "write":
+            monkeypatch.setattr(
+                data, "open", lambda *a, **kw: _HalfWriter(open(*a, **kw)), raising=False
+            )
+        else:
+            def fail(src, dst):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+            monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_weights(build_papernet(seed=1), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestWeightHeader:

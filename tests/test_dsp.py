@@ -3,7 +3,6 @@ import pytest
 
 from papernet.dsp import (
     BiquadCascade,
-    Standardizer,
     apply_standardizer,
     butter_bandpass_design,
     filtfilt,
@@ -204,7 +203,3 @@ class TestStandardizer:
     def test_empty_training_rows(self):
         with pytest.raises(DataError):
             fit_standardizer(np.zeros((10, 16)), [])
-
-    def test_callable_alias(self):
-        std = Standardizer(mean=np.zeros(16), std=np.full(16, 2.0), fitted_on="x")
-        np.testing.assert_array_equal(std(np.full((1, 16), 4.0)), np.full((1, 16), 2.0))

@@ -12,10 +12,27 @@ def t(data, dtype=np.float64):
     return Tensor(np.asarray(data, dtype=dtype))
 
 
+@pytest.mark.parametrize(
+    "layer",
+    [
+        lambda x: layers.conv1d_same(x, t(np.zeros((3, 2, 4))), t(np.zeros(4))),
+        layers.maxpool1d,
+        lambda x: layers.se_residual_attention(
+            x, t(np.zeros((2, 1))), t(np.zeros(1)), t(np.zeros((1, 2))), t(np.zeros(2))
+        ),
+        lambda x: layers.bilstm(x, *[t(np.zeros((4, 3))), t(np.zeros(4))] * 2),
+    ],
+    ids=["conv1d_same", "maxpool1d", "se_residual_attention", "bilstm"],
+)
+def test_unbatched_input_rejected(layer):
+    with pytest.raises(ShapeError):
+        layer(t(np.zeros((6, 2))))
+
+
 class TestConv1dSame:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(0)
-        x = t(rng.normal(size=(9, 3)))
+        x = t(rng.normal(size=(1, 9, 3)))
         kernel = np.zeros((5, 3, 3))
         kernel[2] = np.eye(3)  # centre tap, identity channel map
         out = layers.conv1d_same(x, t(kernel), t(np.zeros(3)))
@@ -32,22 +49,22 @@ class TestConv1dSame:
             expected.append(acc)
         assert expected == [3.0, 6.0, 5.0]
         out = layers.conv1d_same(
-            t(np.array(x)[:, None]), t(np.array(k)[:, None, None]), t([0.0])
+            t(np.array(x)[None, :, None]), t(np.array(k)[:, None, None]), t([0.0])
         )
-        np.testing.assert_array_equal(out.data[:, 0], expected)
+        np.testing.assert_array_equal(out.data[0, :, 0], expected)
 
     def test_zero_kernel_bias_seven(self):
-        x = t(np.random.default_rng(1).normal(size=(6, 2)))
+        x = t(np.random.default_rng(1).normal(size=(1, 6, 2)))
         out = layers.conv1d_same(x, t(np.zeros((3, 2, 4))), t(np.full(4, 7.0)))
-        np.testing.assert_array_equal(out.data, np.full((6, 4), 7.0))
+        np.testing.assert_array_equal(out.data, np.full((1, 6, 4), 7.0))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            layers.conv1d_same(t(np.zeros((5, 2))), t(np.zeros((3, 4, 8))), t(np.zeros(8)))
+            layers.conv1d_same(t(np.zeros((1, 5, 2))), t(np.zeros((3, 4, 8))), t(np.zeros(8)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
-            layers.conv1d_same(t(np.zeros((5, 2))), t(np.zeros((4, 2, 8))), t(np.zeros(8)))
+            layers.conv1d_same(t(np.zeros((1, 5, 2))), t(np.zeros((4, 2, 8))), t(np.zeros(8)))
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(2)
@@ -55,30 +72,30 @@ class TestConv1dSame:
         kernel, bias = t(rng.normal(size=(5, 2, 4))), t(rng.normal(size=4))
         batched = layers.conv1d_same(t(xs), kernel, bias)
         for i in range(3):
-            single = layers.conv1d_same(t(xs[i]), kernel, bias)
-            np.testing.assert_array_equal(batched.data[i], single.data)
+            single = layers.conv1d_same(t(xs[i : i + 1]), kernel, bias)
+            np.testing.assert_array_equal(batched.data[i], single.data[0])
 
 
 class TestMaxPool:
     def test_definition(self):
-        out = layers.maxpool1d(t(np.array([1.0, 3.0, 2.0, 5.0])[:, None]))
-        np.testing.assert_array_equal(out.data[:, 0], [3.0, 5.0])
+        out = layers.maxpool1d(t(np.array([1.0, 3.0, 2.0, 5.0])[None, :, None]))
+        np.testing.assert_array_equal(out.data[0, :, 0], [3.0, 5.0])
 
     def test_halves_sixteen_to_eight(self):
-        out = layers.maxpool1d(t(np.random.default_rng(0).normal(size=(16, 64))))
-        assert out.shape == (8, 64)
+        out = layers.maxpool1d(t(np.random.default_rng(0).normal(size=(1, 16, 64))))
+        assert out.shape == (1, 8, 64)
 
     def test_constant_invariance(self):
-        out = layers.maxpool1d(t(np.full((6, 3), 2.5)))
-        np.testing.assert_array_equal(out.data, np.full((3, 3), 2.5))
+        out = layers.maxpool1d(t(np.full((1, 6, 3), 2.5)))
+        np.testing.assert_array_equal(out.data, np.full((1, 3, 3), 2.5))
 
     def test_odd_trailing_dropped(self):
-        out = layers.maxpool1d(t(np.array([1.0, 2.0, 9.0])[:, None]))
-        np.testing.assert_array_equal(out.data[:, 0], [2.0])
+        out = layers.maxpool1d(t(np.array([1.0, 2.0, 9.0])[None, :, None]))
+        np.testing.assert_array_equal(out.data[0, :, 0], [2.0])
 
     def test_too_short(self):
         with pytest.raises(ShapeError):
-            layers.maxpool1d(t(np.zeros((1, 3))))
+            layers.maxpool1d(t(np.zeros((1, 1, 3))))
 
 
 class TestBatchNorm:
@@ -137,14 +154,14 @@ class TestSeResidualAttention:
 
     def test_zero_weights_give_half_attention(self):
         rng = np.random.default_rng(5)
-        feats = t(rng.normal(size=(4, 8)))
+        feats = t(rng.normal(size=(1, 4, 8)))
         out, attn = layers.se_residual_attention(feats, *self._weights())
-        np.testing.assert_array_equal(attn.data, np.full(8, 0.5))
+        np.testing.assert_array_equal(attn.data, np.full((1, 8), 0.5))
         np.testing.assert_allclose(out.data, 1.5 * feats.data, rtol=1e-12)
 
     def test_attention_near_zero_keeps_features(self):
         rng = np.random.default_rng(6)
-        feats = t(rng.normal(size=(4, 8)))
+        feats = t(rng.normal(size=(1, 4, 8)))
         w1, b1, w2, _ = self._weights()
         b2 = t(np.full(8, -40.0))  # sigmoid(-40) ~ 4e-18
         out, attn = layers.se_residual_attention(feats, w1, b1, w2, b2)
@@ -153,7 +170,7 @@ class TestSeResidualAttention:
 
     def test_attention_near_one_doubles_features(self):
         rng = np.random.default_rng(7)
-        feats = t(rng.normal(size=(4, 8)))
+        feats = t(rng.normal(size=(1, 4, 8)))
         w1, b1, w2, _ = self._weights()
         b2 = t(np.full(8, 40.0))
         out, attn = layers.se_residual_attention(feats, w1, b1, w2, b2)
@@ -162,7 +179,7 @@ class TestSeResidualAttention:
 
     def test_no_residual_scales_only(self):
         rng = np.random.default_rng(8)
-        feats = t(rng.normal(size=(4, 8)))
+        feats = t(rng.normal(size=(1, 4, 8)))
         out, attn = layers.se_residual_attention(
             feats, *self._weights(), residual=False
         )
@@ -183,7 +200,7 @@ class TestSeResidualAttention:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            layers.se_residual_attention(t(np.zeros((4, 8))), *self._weights(c=6))
+            layers.se_residual_attention(t(np.zeros((1, 4, 8))), *self._weights(c=6))
 
 
 class TestBiLstm:
@@ -192,7 +209,7 @@ class TestBiLstm:
         x = t(rng.normal(size=(2, 5, 4)))
         w = t(np.zeros((12, 7)))
         b = t(np.zeros(12))
-        out = layers.bilstm(x, w, b, w, b, hidden=3)
+        out = layers.bilstm(x, w, b, w, b)
         np.testing.assert_array_equal(out.data, np.zeros((2, 5, 6)))
 
     def test_scalar_hand_oracle(self):
@@ -215,11 +232,9 @@ class TestBiLstm:
             [[wx["i"], 0.9], [wx["f"], -0.8], [wx["g"], 0.2], [wx["o"], -0.5]]
         )
         b = np.array([bias["i"], bias["f"], bias["g"], bias["o"]])
-        out = layers.bilstm(
-            t([[x_val]]), t(weight), t(b), t(weight), t(b), hidden=1
-        )
+        out = layers.bilstm(t([[[x_val]]]), t(weight), t(b), t(weight), t(b))
         # both directions see the single step with zero initial state
-        np.testing.assert_allclose(out.data, [[h_expected, h_expected]], rtol=1e-12)
+        np.testing.assert_allclose(out.data, [[[h_expected, h_expected]]], rtol=1e-12)
 
     def test_time_reversal_direction_swap_symmetry(self):
         rng = np.random.default_rng(11)
@@ -227,10 +242,8 @@ class TestBiLstm:
         x = rng.normal(size=(2, 5, width))
         w_f, b_f = rng.normal(size=(12, 7)), rng.normal(size=12)
         w_b, b_b = rng.normal(size=(12, 7)), rng.normal(size=12)
-        out = layers.bilstm(t(x), t(w_f), t(b_f), t(w_b), t(b_b), hidden=hidden)
-        swapped = layers.bilstm(
-            t(x[:, ::-1, :].copy()), t(w_b), t(b_b), t(w_f), t(b_f), hidden=hidden
-        )
+        out = layers.bilstm(t(x), t(w_f), t(b_f), t(w_b), t(b_b))
+        swapped = layers.bilstm(t(x[:, ::-1, :].copy()), t(w_b), t(b_b), t(w_f), t(b_f))
         reassembled = np.concatenate(
             [swapped.data[:, ::-1, hidden:], swapped.data[:, ::-1, :hidden]], axis=2
         )
@@ -240,8 +253,13 @@ class TestBiLstm:
         with pytest.raises(ShapeError):
             layers.bilstm(
                 t(np.zeros((2, 5, 4))), t(np.zeros((12, 9))), t(np.zeros(12)),
-                t(np.zeros((12, 9))), t(np.zeros(12)), hidden=3,
+                t(np.zeros((12, 9))), t(np.zeros(12)),
             )
+
+    def test_bias_shape_checked(self):
+        w = t(np.zeros((12, 7)))  # H = 3 for D = 4
+        with pytest.raises(ShapeError, match="bias"):
+            layers.bilstm(t(np.zeros((2, 5, 4))), w, t(np.zeros(8)), w, t(np.zeros(12)))
 
 
 class TestDropout:
