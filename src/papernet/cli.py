@@ -47,6 +47,8 @@ class RunConfig(TrainConfig):
             if not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds):
                 names = " or ".join(k.__name__ for k in kinds)
                 raise ConfigError(f"{name} must be {names}, got {value!r}")
+            if float in kinds and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(f"{name} is an integer too large for a float")
         super().validate()
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -110,6 +112,13 @@ def prepare_dataset(config: RunConfig) -> PreparedData:
     """Ingest, band-pass, split, and standardize. The test indices are
     wrapped so they can be consumed exactly once, after training."""
     raw, filtered = _load_filtered(config, min_classes=2)
+    if config.num_classes is None:
+        missing, first = data.absent_classes(raw.labels, raw.num_classes)
+        if missing:
+            raise DataError(
+                f"{config.data}: labels must cover 0..{raw.num_classes - 1} when "
+                f"num_classes is not set; {missing} missing, first {first}"
+            )
     num_classes = config.num_classes or raw.num_classes
     if raw.labels.max() >= num_classes:
         raise DataError(
@@ -138,7 +147,7 @@ def _begin_run(args, prepare):
         raise ConfigError(f"dataset path does not exist: {config.data}")
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "config_resolved.json", "w", encoding="utf-8") as fh:
+    with data.atomic_open(outdir / "config_resolved.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2)
         fh.write("\n")
     return config, outdir, prepare(config)
@@ -241,11 +250,11 @@ def cmd_ablate(args) -> int:
             f"  {variant}: accuracy {report.accuracy:.4f} "
             f"macro-F1 {report.macro_f1:.4f} epochs {len(history.records)}"
         )
-    with open(outdir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
+    with data.atomic_open(outdir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    with open(outdir / "ablation.json", "w", encoding="utf-8") as fh:
+    with data.atomic_open(outdir / "ablation.json", "w", encoding="utf-8") as fh:
         json.dump({"split_hash": prepared.splits.hash(), "results": rows}, fh, indent=2)
         fh.write("\n")
     return 0
@@ -302,7 +311,7 @@ def cmd_export_attention(args) -> int:
 def cmd_preprocess(args) -> int:
     _, outdir, (raw, filtered) = _begin_run(args, _load_filtered)
     out_path = outdir / "filtered.csv"
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with data.atomic_open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"X{i + 1}" for i in range(filtered.shape[1])] + ["y"])
         for row, label in zip(filtered, raw.labels):

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,15 +177,31 @@ class SingleUse:
         return self._value
 
 
+def absent_classes(labels, num_classes: int) -> tuple[int, list[int]]:
+    """How many of the classes 0..num_classes-1 no label names, and the
+    first five of them. Works from ``np.unique``, so a huge class id costs
+    no memory."""
+    present = np.unique(np.asarray(labels, dtype=np.int64))
+    present = present[present < num_classes].tolist()
+    first: list[int] = []
+    expected = 0
+    for label in present + [num_classes]:
+        first.extend(range(expected, label)[: 5 - len(first)])
+        expected = label + 1
+    return num_classes - len(present), first
+
+
 def class_weights(labels, num_classes: int | None = None) -> np.ndarray:
     """Inverse-frequency weights w_k = N / (K * count_k); the expected weight
     of a training sample is exactly 1."""
     labels = np.asarray(labels, dtype=np.int64)
     k = num_classes if num_classes is not None else int(labels.max()) + 1
+    missing, first = absent_classes(labels, k)
+    if missing:
+        raise DataError(
+            f"{missing} class(es) absent from the training labels, first {first}"
+        )
     counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        missing = np.flatnonzero(counts == 0).tolist()
-        raise DataError(f"class(es) {missing} absent from the training labels")
     return len(labels) / (k * counts.astype(np.float64))
 
 
@@ -214,10 +231,25 @@ def crc64(data: bytes) -> int:
     return crc ^ 0xFFFFFFFFFFFFFFFF
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a sibling temp file for writing; when the block ends without an
+    error, one ``os.replace`` moves it onto ``path``, so ``path`` never holds
+    a partial file. On any error the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_weights(model: ModelGraph, path) -> None:
-    """Serialize all parameters (running stats included) as float32. The
-    bytes go to a sibling temp file that one ``os.replace`` moves into place,
-    so ``path`` never holds a partial file."""
+    """Serialize all parameters (running stats included) as float32,
+    through :func:`atomic_open`."""
     entries = []
     blobs = []
     offset = 0
@@ -233,15 +265,8 @@ def save_weights(model: ModelGraph, path) -> None:
     ).encode("utf-8")
     body = WEIGHT_MAGIC + struct.pack("<Q", len(header)) + header + b"".join(blobs)
     blob = body + struct.pack("<Q", crc64(body))
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def _parse_weight_file(path):
@@ -359,7 +384,7 @@ def export_attention(model: ModelGraph, rows, batch_size: int = 256):
 def attention_to_csv(path, per_sample: np.ndarray, mean: np.ndarray) -> None:
     """CSV with a sample column, a_000..a_127, and a final MEAN row."""
     width = per_sample.shape[1] if per_sample.size else len(mean)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample"] + [f"a_{i:03d}" for i in range(width)])
         for idx, row in enumerate(per_sample):

@@ -11,6 +11,7 @@ phase distortion.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ def butter_bandpass_design(
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
 ) -> BiquadCascade:
     """Design the band-pass cascade; band edges land at the -3 dB points."""
+    if not math.isfinite(sample_rate_hz):
+        raise FilterDesignError(f"sample rate must be finite, got {sample_rate_hz} Hz")
     if not 0.0 < low_hz < high_hz < sample_rate_hz / 2.0:
         raise FilterDesignError(
             f"band edges ({low_hz}, {high_hz}) Hz must satisfy "

@@ -3,9 +3,10 @@ bidirectional LSTM, dropout, and dense projections.
 
 Sequence layers take batched [B, T, C] tensors only; dense and dropout
 act on [B, F]. Every layer is differentiable through the tape in
-:mod:`papernet.tensor`; hand-written backward rules exist only where a fused
-forward is worth it (convolution, max pooling), and those are covered by
-gradient checks.
+:mod:`papernet.tensor`. Four layers are fused: each call records one tape
+node with a hand-written backward rule, covered by the gradient checks --
+convolution, max pooling, batch norm, and the BiLSTM (both directions in
+one node, with backpropagation through time in numpy).
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ from .tensor import (
     Tensor,
     _make_output,
     add,
-    concat,
     matmul,
     mul,
-    pow_scalar,
     reduce_max,
     reduce_mean,
     relu,
     reshape,
     sigmoid,
-    slice_axis,
-    sub,
-    tanh,
-    transpose,
 )
 
 MODES = ("train", "infer")
@@ -132,20 +127,34 @@ def batchnorm(
     channels = x.shape[2]
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise ShapeError("gamma/beta width does not match channel count")
+    xd = x.data
     if mode == "train":
         if x.shape[0] < 2:
             raise ShapeError("batchnorm in train mode needs batch size >= 2")
-        mean = reduce_mean(x, axis=(0, 1))
-        centered = sub(x, mean)
-        var = reduce_mean(mul(centered, centered), axis=(0, 1))
-        running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mean.data
-        running_var.data = momentum * running_var.data + (1.0 - momentum) * var.data
+        mean = xd.mean(axis=(0, 1))
+        centered = xd - mean
+        var = (centered * centered).mean(axis=(0, 1))
+        running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mean
+        running_var.data = momentum * running_var.data + (1.0 - momentum) * var
     else:
-        mean = running_mean
-        centered = sub(x, mean)
-        var = running_var
-    inv_std = pow_scalar(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv_std), gamma), beta)
+        centered = xd - running_mean.data
+        var = running_var.data
+    inv_std = (var + eps) ** -0.5
+    x_hat = centered * inv_std
+    out = x_hat * gamma.data + beta.data
+
+    def rule(g):
+        d_xhat = g * gamma.data
+        if mode == "train":
+            # the batch statistics depend on x as well
+            d_xhat = (
+                d_xhat
+                - d_xhat.mean(axis=(0, 1))
+                - x_hat * (d_xhat * x_hat).mean(axis=(0, 1))
+            )
+        return d_xhat * inv_std, (g * x_hat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+
+    return _make_output(out, (x, gamma, beta), "batchnorm", rule)
 
 
 def se_residual_attention(
@@ -177,37 +186,71 @@ def se_residual_attention(
     return out, attn
 
 
-def _lstm_direction(
-    x: Tensor, weight: Tensor, bias: Tensor, hidden: int, reverse: bool
-) -> Tensor:
-    batch, steps, width = x.shape
-    h4 = 4 * hidden
-    if weight.shape != (h4, width + hidden):
-        raise ShapeError(
-            f"LSTM weight shape {weight.shape} does not match [4H, D+H]="
-            f"[{h4}, {width + hidden}]"
-        )
-    if bias.shape != (h4,):
-        raise ShapeError(f"LSTM bias shape {bias.shape} does not match [4H]=[{h4}]")
-    w_in = transpose(slice_axis(weight, 1, 0, width))  # [D, 4H]
-    w_rec = transpose(slice_axis(weight, 1, width, width + hidden))  # [H, 4H]
-    # Input projections for all steps at once.
-    proj = reshape(matmul(reshape(x, (batch * steps, width)), w_in), (batch, steps, h4))
-    h = Tensor(np.zeros((batch, hidden), dtype=x.dtype))
-    c = Tensor(np.zeros((batch, hidden), dtype=x.dtype))
-    outputs: list[Tensor | None] = [None] * steps
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        gates = add(add(reshape(slice_axis(proj, 1, t, t + 1), (batch, h4)),
-                        matmul(h, w_rec)), bias)
-        i_gate = sigmoid(slice_axis(gates, 1, 0, hidden))
-        f_gate = sigmoid(slice_axis(gates, 1, hidden, 2 * hidden))
-        g_gate = tanh(slice_axis(gates, 1, 2 * hidden, 3 * hidden))
-        o_gate = sigmoid(slice_axis(gates, 1, 3 * hidden, 4 * hidden))
-        c = add(mul(f_gate, c), mul(i_gate, g_gate))
-        h = mul(o_gate, tanh(c))
-        outputs[t] = reshape(h, (batch, 1, hidden))
-    return concat(outputs, axis=1)
+def _lstm_forward(x2d, weight, bias, out, reverse):
+    """Run one direction over the [B*T, D] rows of a [B, T, D] input and
+    write its hidden states into ``out`` ([B, T, H], a view of the bilstm
+    output). Returns the gate activations [B, T, 4H] and cell states
+    [B, T, H] of every step."""
+    batch, steps, hidden = out.shape
+    width = x2d.shape[1]
+    w_rec = weight[:, width:].T  # [H, 4H]
+    # one GEMM for the input projections of all steps; the buffer is
+    # overwritten step by step with the activations it produces
+    acts = x2d @ weight[:, :width].T
+    acts += bias
+    acts = acts.reshape(batch, steps, 4 * hidden)
+    cells = np.empty((batch, steps, hidden), dtype=acts.dtype)
+    # one tanh serves all four gates [i, f, g, o]: sigmoid(z) is the
+    # overflow-free 0.5 * tanh(0.5 * z) + 0.5, and g is tanh(z) itself
+    scale = np.full(4 * hidden, 0.5, dtype=acts.dtype)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift = 1.0 - scale
+    h = np.zeros((batch, hidden), dtype=acts.dtype)
+    c = np.zeros((batch, hidden), dtype=acts.dtype)
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        a = np.tanh((acts[:, t] + h @ w_rec) * scale) * scale + shift
+        c = a[:, hidden : 2 * hidden] * c + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
+        h = a[:, 3 * hidden :] * np.tanh(c)
+        acts[:, t], cells[:, t], out[:, t] = a, c, h
+    return acts, cells
+
+
+def _lstm_backward(g_h, x2d, weight, h_seq, acts, cells, reverse):
+    """Backpropagation through time for one direction. ``g_h`` is the
+    gradient of its hidden states ``h_seq`` [B, T, H]; returns the
+    gradients of the [B*T, D] input rows, the weight and the bias."""
+    batch, steps, hidden = h_seq.shape
+    width = x2d.shape[1]
+    # each step's previous state (zero before this direction's first step)
+    h_prev, c_prev = np.zeros_like(h_seq), np.zeros_like(cells)
+    if reverse:
+        h_prev[:, :-1], c_prev[:, :-1] = h_seq[:, 1:], cells[:, 1:]
+    else:
+        h_prev[:, 1:], c_prev[:, 1:] = h_seq[:, :-1], cells[:, :-1]
+    i, f, g, o = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(cells)
+    # d(loss)/dz = [dc, dc, dc, dh] * coef, where coef is each gate's partner
+    # in the cell/hidden update times the gate's own derivative
+    deriv = acts * (1.0 - acts)
+    deriv[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
+    coef = np.concatenate((g, c_prev, i, tanh_c), axis=2) * deriv
+    dh_dc = o * (1.0 - tanh_c * tanh_c)
+    w_rec = weight[:, width:]  # [4H, H]
+    d_z = np.empty_like(acts)
+    dh = np.zeros((batch, hidden), dtype=acts.dtype)
+    dc = np.zeros((batch, hidden), dtype=acts.dtype)
+    for t in range(steps) if reverse else range(steps - 1, -1, -1):
+        dh = g_h[:, t] + dh
+        dc = dc + dh * dh_dc[:, t]
+        dz = np.concatenate((dc, dc, dc, dh), axis=1) * coef[:, t]
+        d_z[:, t] = dz
+        dh = dz @ w_rec
+        dc = dc * f[:, t]
+    d_z = d_z.reshape(batch * steps, 4 * hidden)
+    d_weight = np.concatenate(
+        (d_z.T @ x2d, d_z.T @ h_prev.reshape(batch * steps, hidden)), axis=1
+    )
+    return d_z @ weight[:, :width], d_weight, d_z.sum(axis=0)
 
 
 def bilstm(
@@ -225,10 +268,35 @@ def bilstm(
     [B, T, 2H].
     """
     _require_btc(x, "bilstm")
+    batch, steps, width = x.shape
     hidden = w_forward.shape[0] // 4
-    fwd = _lstm_direction(x, w_forward, b_forward, hidden, reverse=False)
-    bwd = _lstm_direction(x, w_backward, b_backward, hidden, reverse=True)
-    return concat([fwd, bwd], axis=2)
+    h4 = 4 * hidden
+    for weight, bias in ((w_forward, b_forward), (w_backward, b_backward)):
+        if weight.shape != (h4, width + hidden):
+            raise ShapeError(
+                f"LSTM weight shape {weight.shape} does not match [4H, D+H]="
+                f"[{h4}, {width + hidden}]"
+            )
+        if bias.shape != (h4,):
+            raise ShapeError(f"LSTM bias shape {bias.shape} does not match [4H]=[{h4}]")
+    x2d = x.data.reshape(batch * steps, width)
+    out = np.empty((batch, steps, 2 * hidden), dtype=x.dtype)
+    halves = (out[..., :hidden], out[..., hidden:])
+    weights = (w_forward.data, w_backward.data)
+    saved = [
+        _lstm_forward(x2d, weights[k], bias.data, halves[k], reverse=bool(k))
+        for k, bias in enumerate((b_forward, b_backward))
+    ]
+
+    def rule(g):
+        (dx_f, dw_f, db_f), (dx_b, dw_b, db_b) = (
+            _lstm_backward(g[..., k * hidden : (k + 1) * hidden], x2d, weights[k],
+                           halves[k], *saved[k], reverse=bool(k))
+            for k in range(2)
+        )
+        return (dx_f + dx_b).reshape(x.shape), dw_f, db_f, dw_b, db_b
+
+    return _make_output(out, (x, w_forward, b_forward, w_backward, b_backward), "bilstm", rule)
 
 
 def dropout(x: Tensor, p: float, mode: str = "infer", rng=None) -> Tensor:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
+from .data import atomic_open
 from .errors import DataError, ShapeError
 
 CHI2_CRITICAL_05 = 3.841459  # chi-square, 1 dof, alpha = 0.05
@@ -259,14 +260,14 @@ def evaluate_probs(y_true, probs, num_classes: int | None = None, baseline_seed:
 
 
 def report_to_json(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
 
 
 def roc_to_csv(report: EvalReport, path) -> None:
     """Plot-ready ROC points: class, threshold, fpr, tpr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "threshold", "fpr", "tpr"])
         for curve in report.roc:

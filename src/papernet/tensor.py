@@ -8,7 +8,7 @@ backward rule so one reverse sweep yields exact gradients.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,17 +185,6 @@ def add(a, b) -> Tensor:
     return _make_output(data, (a, b), "add", rule)
 
 
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    data = a.data - b.data
-
-    def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make_output(data, (a, b), "sub", rule)
-
-
 def mul(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
@@ -214,17 +203,6 @@ def neg(a) -> Tensor:
         return (-g,)
 
     return _make_output(-a.data, (a,), "neg", rule)
-
-
-def pow_scalar(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    a = _as_tensor(a)
-    data = a.data ** exponent
-
-    def rule(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return _make_output(data, (a,), "pow_scalar", rule)
 
 
 def log(a) -> Tensor:
@@ -270,17 +248,6 @@ def matmul(a, b) -> Tensor:
     return _make_output(data, (a, b), "matmul", rule)
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
-
-    def rule(g):
-        return (g.T.copy(),)
-
-    return _make_output(a.data.T.copy(), (a,), "transpose", rule)
-
-
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
@@ -290,41 +257,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         return (g.reshape(a.shape),)
 
     return _make_output(data, (a,), "reshape", rule)
-
-
-def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    extents = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + extents)
-
-    def rule(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
-
-    return _make_output(data, tuple(parts), "concat", rule)
-
-
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along one axis."""
-    a = _as_tensor(a)
-    if not (0 <= start < stop <= a.shape[axis]):
-        raise ShapeError(f"slice [{start}:{stop}) out of range for axis {axis} of {a.shape}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    data = a.data[index].copy()
-
-    def rule(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        full[index] = g
-        return (full,)
-
-    return _make_output(data, (a,), "slice_axis", rule)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +283,6 @@ def sigmoid(a) -> Tensor:
         return (g * data * (1.0 - data),)
 
     return _make_output(data, (a,), "sigmoid", rule)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.tanh(a.data)
-
-    def rule(g):
-        return (g * (1.0 - data * data),)
-
-    return _make_output(data, (a,), "tanh", rule)
 
 
 def softmax_lastaxis(a) -> Tensor:

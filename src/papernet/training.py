@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitIndices, class_weights, save_weights
+from .data import SplitIndices, atomic_open, class_weights, save_weights
 from .errors import ConfigError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
 from .model import CONV_WIDTHS, ModelGraph, forward
@@ -202,7 +202,7 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["epoch", "train_loss", "train_acc", "val_acc", "val_macro_f1", "lr", "seconds"]

@@ -1,21 +1,25 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import papernet.checks as checks_mod
 import papernet.tensor as tensor_mod
-from papernet.cli import build_parser, main
+from papernet.cli import RunConfig, build_parser, main
 from papernet.data import load_weights
 from papernet.model import build_papernet, count_parameters
 from papernet.tensor import Tensor, gradcheck
 
-from conftest import write_csv
+from conftest import make_synthetic, write_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -250,6 +254,14 @@ BAD_INPUTS = {
         "train", "--data", str(d), "--outdir", str(t / "o"), "--lr0", "nan"]),
     "bench_input_length_1": (2, lambda d, t: [
         "bench", "--weights", str(t / "missing"), "--input-length", "1"]),
+    "infinite_sample_rate": (2, lambda d, t: [
+        "preprocess", "--data", str(d), "--outdir", str(t / "o"), "--sample-rate-hz", "inf"]),
+    "sparse_labels": (3, lambda d, t: [
+        "train", "--data", str(_const_csv(t / "sparse.csv", [0, 1, 5000] * 10)),
+        "--outdir", str(t / "o")]),
+    "huge_label": (3, lambda d, t: [
+        "train", "--data", str(_const_csv(t / "huge.csv", [0, 1, 10**12] * 10)),
+        "--outdir", str(t / "o")]),
 }
 
 
@@ -260,6 +272,7 @@ class TestExitCodes:
         assert run(make_argv(synthetic_csv, tmp_path)) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err) < 500, err[:500]
 
     @pytest.mark.parametrize("value", ['"0"', "true", "1.5", "null"])
     def test_config_value_of_wrong_type_exit_2(self, synthetic_csv, tmp_path, capsys, value):
@@ -267,6 +280,65 @@ class TestExitCodes:
         config_path.write_text(f'{{"data": "{synthetic_csv}", "seed": {value}}}')
         assert run(["train", "--config", str(config_path)]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+_HUGE = 2**1100  # beyond the largest float
+_ANY = (
+    st.none()
+    | st.booleans()
+    | st.integers(-_HUGE, _HUGE)
+    | st.floats()  # NaN and +-inf included
+    | st.text(max_size=8)
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+)
+_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 1e-300, 1e300, _HUGE, -_HUGE])
+_OF_TYPE = {
+    float: st.floats() | st.integers(-_HUGE, _HUGE) | _EDGES,
+    int: st.integers(-_HUGE, _HUGE) | st.integers(-3, 300) | _EDGES,
+    bool: st.booleans(),
+    str: st.text(max_size=8),
+    type(None): st.none(),
+}
+
+
+def _config_value(key, hint):
+    # The dataset and output paths stay fixed: only values of a wrong type
+    # are generated for them, so no example writes outside tmp_path.
+    if key in ("data", "outdir"):
+        return _ANY.filter(lambda v: not isinstance(v, str))
+    return st.one_of(*(_OF_TYPE[k] for k in typing.get_args(hint) or (hint,))) | _ANY
+
+
+# A few keys per example, so most examples get past the type checks.
+_CONFIGS = st.lists(
+    st.one_of(*(
+        st.tuples(st.just(key), _config_value(key, hint))
+        for key, hint in typing.get_type_hints(RunConfig).items()
+    )),
+    max_size=3,
+).map(dict)
+
+
+@example(values={"sample_rate_hz": math.inf})
+@example(values={"sample_rate_hz": _HUGE})
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_CONFIGS)
+def test_generated_config_never_ends_in_traceback(values, tmp_path, capsys):
+    """Any JSON config object over RunConfig's keys runs, or ends in exit 2
+    or 3 with one ``error:`` line."""
+    dataset = tmp_path / "small.csv"
+    if not dataset.exists():
+        write_csv(dataset, *make_synthetic(n=32))
+    config = tmp_path / "generated.json"
+    config.write_text(json.dumps(
+        {"data": str(dataset), "outdir": str(tmp_path / "o"), **values}
+    ))
+    code = run(["preprocess", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1, err
 
 
 CONFIG_FLAGS = [
@@ -322,11 +394,12 @@ class TestCliSurface:
         }
 
 
-# Every demo but 04, which trains for about 12 s; each demo's last line.
+# Each demo and a stable prefix of its last line.
 DEMOS = {
     "01_autodiff_basics": "gradcheck softmax",
     "02_bandpass_filter": "cross-correlation peak lag: 0 samples",
     "03_model_anatomy": "most-weighted feature channels",
+    "04_train_synthetic": "McNemar vs random baseline",
     "05_metrics_tour": "six samples cannot reach significance",
     "06_cli_walkthrough": "all outputs under",
 }

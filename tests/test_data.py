@@ -14,6 +14,7 @@ from papernet.data import (
     RawDataset,
     SingleUse,
     _parse_weight_file,
+    absent_classes,
     attention_to_csv,
     class_weights,
     crc64,
@@ -24,6 +25,7 @@ from papernet.data import (
     stratified_split,
 )
 from papernet.errors import DataError, WeightFormatError
+from papernet.metrics import evaluate_probs, report_to_json
 from papernet.model import build_papernet, forward
 
 from conftest import write_csv
@@ -208,6 +210,25 @@ class TestClassWeights:
         with pytest.raises(DataError):
             class_weights(np.array([0, 0, 2, 2]), num_classes=3)
 
+    def test_absent_class_list_capped(self):
+        with pytest.raises(DataError, match=r"^4998 class\(es\) absent .*first \[2, 3, 4, 5, 6\]$"):
+            class_weights(np.array([0, 1, 5000]))
+
+
+class TestAbsentClasses:
+    @pytest.mark.parametrize(
+        "labels, k, expected",
+        [
+            ([0, 1, 2], 3, (0, [])),
+            ([1, 3], 4, (2, [0, 2])),
+            ([0, 1, 2, 9], 10, (6, [3, 4, 5, 6, 7])),
+            ([0, 1, 10**12], 10**12 + 1, (10**12 - 2, [2, 3, 4, 5, 6])),
+            ([7, 8], 3, (3, [0, 1, 2])),
+        ],
+    )
+    def test_count_and_first_few(self, labels, k, expected):
+        assert absent_classes(labels, k) == expected
+
 
 class TestCrc64:
     def test_known_check_value(self):
@@ -317,11 +338,8 @@ class _HalfWriter:
 
 
 class TestAtomicSave:
-    @pytest.mark.parametrize("failing", ["write", "replace"])
-    def test_failure_keeps_earlier_file(self, tmp_path, monkeypatch, failing):
-        path = tmp_path / "weights"
-        save_weights(build_papernet(seed=0), path)
-        before = path.read_bytes()
+    @staticmethod
+    def _fail_on(failing, monkeypatch):
         if failing == "write":
             monkeypatch.setattr(
                 data, "open", lambda *a, **kw: _HalfWriter(open(*a, **kw)), raising=False
@@ -331,8 +349,28 @@ class TestAtomicSave:
                 raise OSError(errno.EXDEV, "Invalid cross-device link")
 
             monkeypatch.setattr(os, "replace", fail)
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failure_keeps_earlier_file(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "weights"
+        save_weights(build_papernet(seed=0), path)
+        before = path.read_bytes()
+        self._fail_on(failing, monkeypatch)
         with pytest.raises(OSError):
             save_weights(build_papernet(seed=1), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_report_failure_keeps_earlier_file(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "report.json"
+        labels = np.array([0, 1, 1, 0])
+        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.7, 0.3]])
+        report_to_json(evaluate_probs(labels, probs, 2), path)
+        before = path.read_bytes()
+        self._fail_on(failing, monkeypatch)
+        with pytest.raises(OSError):
+            report_to_json(evaluate_probs(labels, probs[:, ::-1], 2), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 

@@ -5,7 +5,7 @@ import pytest
 
 from papernet import layers
 from papernet.errors import ShapeError
-from papernet.tensor import Tensor
+from papernet.tensor import ComputationTape, Tensor
 
 
 def t(data, dtype=np.float64):
@@ -27,6 +27,22 @@ def t(data, dtype=np.float64):
 def test_unbatched_input_rejected(layer):
     with pytest.raises(ShapeError):
         layer(t(np.zeros((6, 2))))
+
+
+@pytest.mark.parametrize(
+    "layer, name",
+    [
+        (lambda x: layers.bilstm(x, *[t(np.zeros((8, 5))), t(np.zeros(8))] * 2), "bilstm"),
+        (lambda x: layers.batchnorm(x, *[t(np.ones(3))] * 4, mode="train"), "batchnorm"),
+        (lambda x: layers.batchnorm(x, *[t(np.ones(3))] * 4, mode="infer"), "batchnorm"),
+    ],
+    ids=["bilstm", "batchnorm_train", "batchnorm_infer"],
+)
+def test_fused_layer_records_one_tape_node(layer, name):
+    x = Tensor(np.ones((2, 4, 3)), requires_grad=True)
+    with ComputationTape() as tape:
+        layer(x)
+    assert [node.name for node in tape.nodes] == [name]
 
 
 class TestConv1dSame:
@@ -235,6 +251,34 @@ class TestBiLstm:
         out = layers.bilstm(t([[[x_val]]]), t(weight), t(b), t(weight), t(b))
         # both directions see the single step with zero initial state
         np.testing.assert_allclose(out.data, [[[h_expected, h_expected]]], rtol=1e-12)
+
+    @staticmethod
+    def _numpy_direction(x, weight, bias, reverse):
+        """Plain per-step LSTM: gates (i, f, g, o) = [x_t, h] @ W.T + b."""
+        batch, steps, _ = x.shape
+        hidden = weight.shape[0] // 4
+        h, c = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        out = np.zeros((batch, steps, hidden))
+        for step in reversed(range(steps)) if reverse else range(steps):
+            z = np.concatenate([x[:, step], h], axis=1) @ weight.T + bias
+            i, f, g, o = np.split(z, 4, axis=1)
+            c = c / (1 + np.exp(-f)) + np.tanh(g) / (1 + np.exp(-i))
+            h = np.tanh(c) / (1 + np.exp(-o))
+            out[:, step] = h
+        return out
+
+    def test_matches_numpy_multistep_loop(self):
+        rng = np.random.default_rng(15)
+        batch, steps, width, hidden = 3, 6, 4, 5
+        x = rng.normal(size=(batch, steps, width))
+        w_f, w_b = rng.normal(size=(2, 4 * hidden, width + hidden))
+        b_f, b_b = rng.normal(size=(2, 4 * hidden))
+        out = layers.bilstm(t(x), t(w_f), t(b_f), t(w_b), t(b_b))
+        expected = np.concatenate(
+            [self._numpy_direction(x, w_f, b_f, False), self._numpy_direction(x, w_b, b_b, True)],
+            axis=2,
+        )
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-6)
 
     def test_time_reversal_direction_swap_symmetry(self):
         rng = np.random.default_rng(11)

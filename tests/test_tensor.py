@@ -8,24 +8,18 @@ from papernet.tensor import (
     add,
     backward,
     clamp_min,
-    concat,
     gradcheck,
     log,
     matmul,
     mul,
     neg,
-    pow_scalar,
     reduce_max,
     reduce_mean,
     reduce_sum,
     relu,
     reshape,
     sigmoid,
-    slice_axis,
     softmax_lastaxis,
-    sub,
-    tanh,
-    transpose,
 )
 
 
@@ -190,27 +184,17 @@ class TestGradcheck:
     OPS = {
         "add_broadcast": lambda rng: (lambda a, b: add(a, b),
                                       [rng.normal(size=(3, 4)), rng.normal(size=(4,))]),
-        "sub": lambda rng: (lambda a, b: sub(a, b),
-                            [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))]),
         "mul_broadcast": lambda rng: (lambda a, b: mul(a, b),
                                       [rng.normal(size=(2, 1, 3)), rng.normal(size=(4, 3))]),
         "neg": lambda rng: (neg, [rng.normal(size=(5,))]),
-        "pow2": lambda rng: (lambda a: pow_scalar(a, 2.0), [rng.normal(size=(4,))]),
-        "rsqrt": lambda rng: (lambda a: pow_scalar(a, -0.5),
-                              [rng.uniform(0.5, 3.0, size=(4,))]),
         "log": lambda rng: (log, [rng.uniform(0.2, 3.0, size=(4,))]),
         "clamp_min": lambda rng: (lambda a: clamp_min(a, 0.0),
                                   [np.sign(rng.normal(size=(6,))) * rng.uniform(0.1, 1.0, size=6)]),
         "matmul": lambda rng: (matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
-        "transpose": lambda rng: (transpose, [rng.normal(size=(3, 4))]),
         "reshape": lambda rng: (lambda a: reshape(a, (6,)), [rng.normal(size=(2, 3))]),
-        "concat": lambda rng: (lambda a, b: concat([a, b], axis=1),
-                               [rng.normal(size=(2, 3)), rng.normal(size=(2, 2))]),
-        "slice": lambda rng: (lambda a: slice_axis(a, 1, 1, 3), [rng.normal(size=(2, 4))]),
         "relu": lambda rng: (relu,
                              [np.sign(rng.normal(size=(4, 3))) * rng.uniform(0.1, 1.0, size=(4, 3))]),
         "sigmoid": lambda rng: (sigmoid, [rng.normal(size=(3, 3))]),
-        "tanh": lambda rng: (tanh, [rng.normal(size=(3, 3))]),
         "softmax": lambda rng: (softmax_lastaxis, [rng.normal(size=(3, 5))]),
         "reduce_sum": lambda rng: (lambda a: reduce_sum(a, axis=0), [rng.normal(size=(3, 4))]),
         "reduce_mean": lambda rng: (lambda a: reduce_mean(a, axis=(0, 2)),
