@@ -17,9 +17,7 @@ from .model import VARIANTS, build_papernet, forward
 from .tensor import (
     Tensor,
     add,
-    clamp_min,
     gradcheck,
-    log,
     matmul,
     mul,
     reduce_max,
@@ -66,12 +64,6 @@ def check_sigmoid() -> float:
 def check_softmax() -> float:
     rng = np.random.default_rng(16)
     return gradcheck(softmax_lastaxis, _t(rng, 4, 6))
-
-
-def check_log_clamp() -> float:
-    rng = np.random.default_rng(17)
-    point = Tensor(rng.uniform(0.2, 2.0, size=(3, 4)), requires_grad=True, dtype=np.float64)
-    return gradcheck(lambda x: log(clamp_min(x, 1e-12)), point)
 
 
 def check_reductions() -> float:
@@ -158,9 +150,9 @@ def check_cross_entropy() -> float:
     rng = np.random.default_rng(26)
     logits = _t(rng, 5, 4)
     onehot = np.eye(4)[rng.integers(0, 4, size=5)]
-    weights = rng.uniform(0.5, 2.0, size=4)
-    return gradcheck(
-        lambda z: weighted_cross_entropy(softmax_lastaxis(z), onehot, weights), logits
+    return max(
+        gradcheck(lambda z: weighted_cross_entropy(softmax_lastaxis(z), onehot, w), logits)
+        for w in (rng.uniform(0.5, 2.0, size=4), None)
     )
 
 
@@ -197,7 +189,6 @@ SUITE = {
     "relu": check_relu,
     "sigmoid": check_sigmoid,
     "softmax": check_softmax,
-    "log_clamp": check_log_clamp,
     "reductions": check_reductions,
     "conv1d_same": check_conv1d,
     "maxpool1d": check_maxpool,

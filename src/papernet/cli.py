@@ -119,6 +119,10 @@ def prepare_dataset(config: RunConfig) -> PreparedData:
                 f"{config.data}: labels must cover 0..{raw.num_classes - 1} when "
                 f"num_classes is not set; {missing} missing, first {first}"
             )
+    elif config.num_classes > len(raw.labels):
+        raise ConfigError(
+            f"num_classes={config.num_classes} exceeds the {len(raw.labels)} rows of {config.data}"
+        )
     num_classes = config.num_classes or raw.num_classes
     if raw.labels.max() >= num_classes:
         raise DataError(

@@ -7,6 +7,9 @@ pre-warping), realized as second-order sections. Zero-phase filtering is
 scipy's ``sosfiltfilt``: the cascade runs forward and backward over an
 odd-reflection extension so the net magnitude response is |H|^2 with no
 phase distortion.
+
+``scipy.signal`` is imported inside the three functions that call it, so
+importing the package (and serving a model) loads no scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import DataError, FilterDesignError
 
@@ -56,6 +58,8 @@ def butter_bandpass_design(
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
 ) -> BiquadCascade:
     """Design the band-pass cascade; band edges land at the -3 dB points."""
+    from scipy import signal
+
     if not math.isfinite(sample_rate_hz):
         raise FilterDesignError(f"sample rate must be finite, got {sample_rate_hz} Hz")
     if not 0.0 < low_hz < high_hz < sample_rate_hz / 2.0:
@@ -63,7 +67,7 @@ def butter_bandpass_design(
             f"band edges ({low_hz}, {high_hz}) Hz must satisfy "
             f"0 < low < high < Nyquist ({sample_rate_hz / 2.0} Hz)"
         )
-    sos = _signal.butter(
+    sos = signal.butter(
         order, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos"
     )
     cascade = BiquadCascade(
@@ -80,10 +84,12 @@ def butter_bandpass_design(
 
 def frequency_response(cascade: BiquadCascade, f_hz) -> np.ndarray | float:
     """|H(e^{j omega})| at ``f_hz`` (a scalar or a 1-D array of Hz)."""
+    from scipy import signal
+
     f = np.asarray(f_hz, dtype=np.float64)
     if np.any(f < 0) or np.any(f > cascade.nyquist):
         raise FilterDesignError(f"frequency outside [0, Nyquist]: {f_hz}")
-    _, h = _signal.sosfreqz(
+    _, h = signal.sosfreqz(
         cascade.sections, worN=np.atleast_1d(f), fs=cascade.sample_rate_hz
     )
     mag = np.abs(h)
@@ -102,7 +108,9 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     pad = 3 * (2 * cascade.order + 1)
     if len(x) <= pad:
         raise DataError(f"signal length {len(x)} too short for padding {pad}")
-    return _signal.sosfiltfilt(cascade.sections, x, axis=0, padlen=pad)
+    from scipy import signal
+
+    return signal.sosfiltfilt(cascade.sections, x, axis=0, padlen=pad)
 
 
 def preprocess_recording(

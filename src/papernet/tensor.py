@@ -196,39 +196,6 @@ def mul(a, b) -> Tensor:
     return _make_output(data, (a, b), "mul", rule)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def rule(g):
-        return (-g,)
-
-    return _make_output(-a.data, (a,), "neg", rule)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise NonFiniteError("log of a non-positive value")
-    data = np.log(a.data)
-
-    def rule(g):
-        return (g / a.data,)
-
-    return _make_output(data, (a,), "log", rule)
-
-
-def clamp_min(a, floor: float) -> Tensor:
-    """max(x, floor); gradient passes only where x > floor."""
-    a = _as_tensor(a)
-    data = np.maximum(a.data, a.dtype.type(floor))
-    passmask = a.data > floor
-
-    def rule(g):
-        return (g * passmask,)
-
-    return _make_output(data, (a,), "clamp_min", rule)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 

@@ -1,6 +1,7 @@
-"""Optimization protocol: weighted cross-entropy with an L2 penalty, Adam,
-reduce-on-plateau on validation macro-F1, early stopping, checkpointing,
-and per-epoch history logging."""
+"""Optimization protocol: weighted cross-entropy with an L2 penalty (one
+fused tape node, :func:`weighted_cross_entropy`), Adam, reduce-on-plateau on
+validation macro-F1, early stopping, checkpointing, and per-epoch history
+logging."""
 
 from __future__ import annotations
 
@@ -15,18 +16,7 @@ from .data import SplitIndices, atomic_open, class_weights, save_weights
 from .errors import ConfigError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
 from .model import CONV_WIDTHS, ModelGraph, forward
-from .tensor import (
-    ComputationTape,
-    Tensor,
-    add,
-    backward,
-    clamp_min,
-    log,
-    mul,
-    neg,
-    reduce_mean,
-    reduce_sum,
-)
+from .tensor import ComputationTape, Tensor, _make_output, backward
 
 IMPROVEMENT_DELTA = 1e-4
 LOG_FLOOR = 1e-12
@@ -49,8 +39,10 @@ class TrainConfig:
     def validate(self) -> None:
         if not (self.lr0 >= 0 and self.min_lr > 0 and self.l2 >= 0):  # NaN fails too
             raise ConfigError("learning rates and l2 must be non-negative (min_lr > 0)")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be positive")
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be at least 2 (batch norm), got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be positive")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ConfigError("patience values must be positive")
         if not 0.0 < self.plateau_factor < 1.0:
@@ -108,25 +100,30 @@ def weighted_cross_entropy(
     l2: float = 0.0,
 ) -> Tensor:
     """Mean of -w_y * log(p_y) over the batch, log floored at 1e-12, plus
-    l2 * sum of squared weight-matrix entries (biases and BN excluded)."""
-    onehot_arr = onehot.data if isinstance(onehot, Tensor) else np.asarray(onehot)
-    if onehot_arr.shape != probs.shape:
-        raise ValueError(
-            f"one-hot shape {onehot_arr.shape} does not match probs {probs.shape}"
-        )
+    l2 * sum of squared weight-matrix entries (biases and BN excluded).
+
+    One tape node over ``probs`` and, with ``l2 > 0`` and a model, its
+    weight matrices. The gradient is -w_y / (B * p_y) where p_y > 1e-12, 0
+    at or below the floor, and 2 * l2 * W for each weight matrix.
+    """
+    onehot = np.asarray(onehot)
+    if onehot.shape != probs.shape:
+        raise ValueError(f"one-hot shape {onehot.shape} does not match probs {probs.shape}")
     weights = np.ones(probs.shape[1]) if class_w is None else np.asarray(class_w)
-    picked = Tensor((onehot_arr * weights).astype(probs.dtype))
-    log_probs = log(clamp_min(probs, LOG_FLOOR))
-    per_sample = reduce_sum(mul(picked, log_probs), axis=1)
-    loss = neg(reduce_mean(per_sample, axis=0))
-    if l2 > 0.0 and model is not None:
-        penalty = None
-        for w in model.weight_matrices():
-            term = reduce_sum(mul(w, w))
-            penalty = term if penalty is None else add(penalty, term)
-        if penalty is not None:
-            loss = add(loss, mul(penalty, l2))
-    return loss
+    picked = (onehot * weights).astype(probs.dtype)
+    p = probs.data
+    floored = np.maximum(p, p.dtype.type(LOG_FLOOR))
+    loss = -(picked * np.log(floored)).sum(axis=1).mean(axis=0)
+    matrices = model.weight_matrices() if l2 > 0.0 and model is not None else []
+    l2 = p.dtype.type(l2)
+    if matrices:
+        loss = loss + sum((w.data * w.data).sum() for w in matrices) * l2
+
+    def rule(g):
+        d_probs = (-g / len(p)) * picked / floored * (p > LOG_FLOOR)
+        return (d_probs, *(g * l2 * w.data * 2 for w in matrices))
+
+    return _make_output(loss, (probs, *matrices), "weighted_cross_entropy", rule)
 
 
 class PlateauScheduler:
@@ -281,6 +278,9 @@ def train(
     history = TrainHistory()
     best_model = model.copy()
     n_train = len(y_train)
+    bounds = list(range(0, n_train, config.batch_size)) + [n_train]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # a lone last row joins the batch before: batch norm needs two
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -288,24 +288,29 @@ def train(
         perm = np.random.default_rng([config.seed, epoch]).permutation(n_train)
         loss_sum = 0.0
         correct = 0
-        for batch_no, start in enumerate(range(0, n_train, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
-            drop_rng = np.random.default_rng([config.seed, epoch, batch_no])
+        # every op output is checked for NaN/Inf, so numpy's own warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for batch_no, (start, end) in enumerate(zip(bounds, bounds[1:])):
+                idx = perm[start:end]
+                drop_rng = np.random.default_rng([config.seed, epoch, batch_no])
+                try:
+                    with ComputationTape() as tape:
+                        probs = forward(model, x_train[idx], mode="train", rng=drop_rng)
+                        loss = weighted_cross_entropy(
+                            probs, eye[y_train[idx]], weights, model, config.l2
+                        )
+                        backward(tape, loss)
+                except NonFiniteError as exc:
+                    raise TrainingError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
+                adam_step(trainable, adam, lr_used)
+                model.zero_grad()
+                loss_sum += loss.item() * len(idx)
+                correct += int(np.sum(probs.data.argmax(axis=1) == y_train[idx]))
             try:
-                with ComputationTape() as tape:
-                    probs = forward(model, x_train[idx], mode="train", rng=drop_rng)
-                    loss = weighted_cross_entropy(
-                        probs, eye[y_train[idx]], weights, model, config.l2
-                    )
-                    backward(tape, loss)
+                val_probs = predict_probs(model, x_val)
             except NonFiniteError as exc:
-                raise TrainingError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
-            adam_step(trainable, adam, lr_used)
-            model.zero_grad()
-            loss_sum += loss.item() * len(idx)
-            correct += int(np.sum(probs.data.argmax(axis=1) == y_train[idx]))
+                raise TrainingError(f"epoch {epoch} validation: {exc}") from exc
 
-        val_probs = predict_probs(model, x_val)
         val_prf = prf_metrics(confusion(y_val, val_probs.argmax(axis=1), k))
         record = EpochRecord(
             epoch=epoch,

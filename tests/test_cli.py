@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,17 +263,27 @@ BAD_INPUTS = {
     "huge_label": (3, lambda d, t: [
         "train", "--data", str(_const_csv(t / "huge.csv", [0, 1, 10**12] * 10)),
         "--outdir", str(t / "o")]),
+    "batch_size_1": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--batch-size", "1"]),
+    "huge_num_classes": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--num-classes", str(10**12)]),
+    "diverging_lr": (1, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--lr0", "1e30",
+        "--batch-size", "32"]),
 }
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", BAD_INPUTS, ids=list(BAD_INPUTS))
-    def test_bad_input_exit_code_and_one_line(self, case, synthetic_csv, tmp_path, capsys):
+    def test_bad_input_exit_code_and_one_line(self, case, synthetic_csv, tmp_path, capsys,
+                                              recwarn):
         code, make_argv = BAD_INPUTS[case]
         assert run(make_argv(synthetic_csv, tmp_path)) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert len(err) < 500, err[:500]
+        # pytest records warnings instead of printing them to stderr
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("value", ['"0"', "true", "1.5", "null"])
     def test_config_value_of_wrong_type_exit_2(self, synthetic_csv, tmp_path, capsys, value):
@@ -339,6 +350,52 @@ def test_generated_config_never_ends_in_traceback(values, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 2, 3), err
     assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@st.composite
+def _train_inputs(draw):
+    """(features, labels, batch_size): 8-80 rows over 2-4 classes with
+    imbalanced, sometimes absent classes and constant or duplicated columns."""
+    n = draw(st.integers(8, 80))
+    shares = draw(st.lists(st.sampled_from([1.0, 0.3, 0.1, 0.0]), min_size=2, max_size=4)
+                  .filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.choice(len(shares), size=n, p=np.array(shares) / sum(shares))
+    features = rng.normal(size=(n, 16)) + labels[:, None]
+    for col in draw(st.lists(st.integers(0, 15), max_size=3)):
+        features[:, col] = 1.5
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=3)):
+        features[:, dst] = features[:, src]
+    return features, labels, draw(st.integers(1, n))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_train_inputs())
+def test_generated_dataset_trains_or_fails_cleanly(inputs, tmp_path, capsys):
+    """One epoch of ``papernet train`` on a generated CSV exits 0, 2 or 3,
+    or 1 for a diverged run, with one ``error:`` line and no RuntimeWarning."""
+    features, labels, batch_size = inputs
+    dataset = tmp_path / "generated.csv"
+    write_csv(dataset, features, labels)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["train", "--data", str(dataset), "--outdir", str(tmp_path / "o"),
+                    "--batch-size", str(batch_size), "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    # a TrainingError names the epoch it stopped in
+    assert code in (0, 2, 3) or err.startswith("error: epoch "), err
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, papernet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 CONFIG_FLAGS = [

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papernet.errors import DataError, ShapeError
 from papernet.metrics import (
@@ -167,6 +169,23 @@ class TestRocAuc:
                     continue
                 expected = pairwise_auc(scores[:, cls], positive)
                 assert curves[cls].auc == pytest.approx(expected, abs=1e-9)
+
+
+# (positive?, score) rows with both classes present; scores from a small
+# set tie often, free floats almost never
+_SCORED_ROWS = st.lists(
+    st.tuples(st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1e6, 1e6)),
+    min_size=2, max_size=60,
+).filter(lambda rows: 0 < sum(pos for pos, _ in rows) < len(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_SCORED_ROWS)
+def test_auc_matches_pairwise_oracle_on_tied_and_untied_scores(rows):
+    positive = np.array([pos for pos, _ in rows])
+    scores = np.array([score for _, score in rows])
+    curves, _ = roc_auc(np.stack([-scores, scores], axis=1), positive.astype(np.int64))
+    assert curves[1].auc == pytest.approx(pairwise_auc(scores, positive), abs=1e-9)
 
 
 class TestMcNemar:

@@ -7,12 +7,9 @@ from papernet.tensor import (
     Tensor,
     add,
     backward,
-    clamp_min,
     gradcheck,
-    log,
     matmul,
     mul,
-    neg,
     reduce_max,
     reduce_mean,
     reduce_sum,
@@ -186,10 +183,6 @@ class TestGradcheck:
                                       [rng.normal(size=(3, 4)), rng.normal(size=(4,))]),
         "mul_broadcast": lambda rng: (lambda a, b: mul(a, b),
                                       [rng.normal(size=(2, 1, 3)), rng.normal(size=(4, 3))]),
-        "neg": lambda rng: (neg, [rng.normal(size=(5,))]),
-        "log": lambda rng: (log, [rng.uniform(0.2, 3.0, size=(4,))]),
-        "clamp_min": lambda rng: (lambda a: clamp_min(a, 0.0),
-                                  [np.sign(rng.normal(size=(6,))) * rng.uniform(0.1, 1.0, size=6)]),
         "matmul": lambda rng: (matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
         "reshape": lambda rng: (lambda a: reshape(a, (6,)), [rng.normal(size=(2, 3))]),
         "relu": lambda rng: (relu,

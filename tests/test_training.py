@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import papernet.training as training_mod
 from papernet.data import stratified_split
 from papernet.errors import ConfigError, TrainingError
 from papernet.model import build_papernet
-from papernet.tensor import Tensor, softmax_lastaxis
+from papernet.tensor import ComputationTape, Tensor, backward, softmax_lastaxis
 from papernet.training import (
     AdamState,
     EarlyStopper,
@@ -57,6 +59,41 @@ class TestWeightedCrossEntropy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             weighted_cross_entropy(Tensor(np.full((2, 4), 0.25)), np.eye(4))
+
+    def test_floor_and_gradient_above_it(self):
+        # powers of two keep -w_y / (B * p_y) exact
+        probs = Tensor(np.array([[1e-13, 1 - 1e-13], [0.5, 0.5], [0.25, 0.75], [0.875, 0.125]]),
+                       requires_grad=True)
+        w = np.array([2.0, 0.5])
+        y = np.array([0, 1, 0, 1])
+        with ComputationTape() as tape:
+            loss = weighted_cross_entropy(probs, np.eye(2)[y], w)
+            backward(tape, loss)
+        p_y = np.array([1e-12, 0.5, 0.25, 0.125])  # the first row is floored
+        assert loss.item() == pytest.approx(np.sum(-w[y] * np.log(p_y)) / 4, rel=1e-12)
+        expected = np.zeros((4, 2))
+        expected[[1, 2, 3], y[1:]] = -w[y[1:]] / (4 * p_y[1:])
+        np.testing.assert_array_equal(probs.grad, expected)
+
+    def test_penalty_gradient_is_two_l2_w(self):
+        model = build_papernet(seed=0, dtype=np.float64)
+        probs = Tensor(np.full((4, 4), 0.25))
+        with ComputationTape() as tape:
+            backward(tape, weighted_cross_entropy(probs, np.eye(4), model=model, l2=1e-3))
+        matrices = {id(w) for w in model.weight_matrices()}
+        for name, p in model.params.items():
+            if id(p) in matrices:
+                np.testing.assert_array_equal(p.grad, 2 * 1e-3 * p.data, err_msg=name)
+            else:
+                assert p.grad is None, name
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_one_tape_node(self, l2):
+        model = build_papernet(seed=0)
+        probs = Tensor(np.full((4, 4), 0.25, dtype=np.float32), requires_grad=True)
+        with ComputationTape() as tape:
+            weighted_cross_entropy(probs, np.eye(4), [1.0, 2.0, 1.0, 0.5], model, l2)
+        assert [node.name for node in tape.nodes] == ["weighted_cross_entropy"]
 
 
 class TestAdam:
@@ -196,9 +233,13 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training_mod, "adam_step", counting)
         config = self._config(max_epochs=3, batch_size=32)
-        train(build_papernet(seed=7), features, labels, splits, config)
-        n_train = len(splits.train)
-        assert len(calls) == 3 * int(np.ceil(n_train / 32))
+        # 168 = 5 * 32 + 8 rows make six batches; in 161 = 5 * 32 + 1 the
+        # lone last row joins the fifth batch (batch norm needs two rows)
+        for n_train, batches in ((168, 6), (161, 5)):
+            calls.clear()
+            subset = dataclasses.replace(splits, train=splits.train[:n_train])
+            train(build_papernet(seed=7), features, labels, subset, config)
+            assert len(calls) == 3 * batches
 
     def test_best_checkpoint_at_least_final(self):
         features, labels, splits = self._setup()
@@ -231,9 +272,12 @@ class TestTrainLoop:
         features, labels, splits = self._setup()
         model = build_papernet(seed=10)
         config = self._config(lr0=1e18, max_epochs=2)  # blows up immediately
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingError, match="epoch"):
-                train(model, features, labels, splits, config)
+        with pytest.raises(TrainingError, match="epoch 1 batch 1"):
+            train(model, features, labels, splits, config)
+        # one batch per epoch: the first non-finite output is in validation
+        config = self._config(lr0=1e18, max_epochs=2, batch_size=512)
+        with pytest.raises(TrainingError, match="epoch 1 validation"):
+            train(build_papernet(seed=10), features, labels, splits, config)
 
     def test_learns_separable_data(self):
         features, labels, splits = self._setup(n=400, seed=11)
@@ -244,8 +288,9 @@ class TestTrainLoop:
         assert history.best_val_macro_f1() > 0.8
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0).validate()
+        for batch_size in (0, 1):  # batch norm needs two rows
+            with pytest.raises(ConfigError):
+                TrainConfig(batch_size=batch_size).validate()
         with pytest.raises(ConfigError):
             TrainConfig(plateau_factor=1.5).validate()
         with pytest.raises(ConfigError):
