@@ -157,9 +157,7 @@ def check_cross_entropy() -> float:
 
 
 def _check_model(variant: str) -> float:
-    model = build_papernet(
-        num_classes=4, input_length=16, variant=variant, seed=7, dtype=np.float64
-    )
+    model = build_papernet(num_classes=4, variant=variant, seed=7, dtype=np.float64)
     rng = np.random.default_rng(27)
     x = Tensor(rng.standard_normal((4, 16, 1)), requires_grad=True, dtype=np.float64)
     onehot = np.eye(4)[rng.integers(0, 4, size=4)]

@@ -9,7 +9,6 @@ config file; the resolved configuration is written next to the outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -23,7 +22,10 @@ import numpy as np
 from . import checks, data, dsp, metrics
 from .errors import ConfigError, DataError, FilterDesignError, PapernetError, WeightFormatError
 from .model import VARIANTS, build_papernet, count_non_trainable, count_parameters
-from .training import TrainConfig, predict_probs, train
+from .training import TrainConfig, export_attention, predict_probs, train
+
+BENCH_MAX_SAMPLES = 1_000_000
+BENCH_MAX_INPUT_LENGTH = 4096
 
 
 @dataclass
@@ -151,9 +153,7 @@ def _begin_run(args, prepare):
         raise ConfigError(f"dataset path does not exist: {config.data}")
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with data.atomic_open(outdir / "config_resolved.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2)
-        fh.write("\n")
+    data.write_json(outdir / "config_resolved.json", dataclasses.asdict(config))
     return config, outdir, prepare(config)
 
 
@@ -192,7 +192,7 @@ def _summary(report) -> str:
 
 
 def _export_attention_csv(model, prepared: PreparedData, indices, outdir: Path) -> None:
-    per_sample, mean = data.export_attention(model, prepared.features[indices])
+    per_sample, mean = export_attention(model, prepared.features[indices])
     data.attention_to_csv(outdir / "attention.csv", per_sample, mean)
 
 
@@ -254,21 +254,20 @@ def cmd_ablate(args) -> int:
             f"  {variant}: accuracy {report.accuracy:.4f} "
             f"macro-F1 {report.macro_f1:.4f} epochs {len(history.records)}"
         )
-    with data.atomic_open(outdir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    with data.atomic_open(outdir / "ablation.json", "w", encoding="utf-8") as fh:
-        json.dump({"split_hash": prepared.splits.hash(), "results": rows}, fh, indent=2)
-        fh.write("\n")
+    data.write_csv(outdir / "ablation.csv", list(rows[0]), [list(r.values()) for r in rows])
+    data.write_json(outdir / "ablation.json", {"split_hash": prepared.splits.hash(), "results": rows})
     return 0
 
 
 def cmd_bench(args) -> int:
-    if args.n_samples < 1:
-        raise ConfigError(f"--n-samples must be positive, got {args.n_samples}")
-    if args.input_length < 2:
-        raise ConfigError(f"--input-length must be at least 2, got {args.input_length}")
+    if not 1 <= args.n_samples <= BENCH_MAX_SAMPLES:
+        raise ConfigError(
+            f"--n-samples must lie in 1..{BENCH_MAX_SAMPLES}, got {args.n_samples}"
+        )
+    if not 2 <= args.input_length <= BENCH_MAX_INPUT_LENGTH:
+        raise ConfigError(
+            f"--input-length must lie in 2..{BENCH_MAX_INPUT_LENGTH}, got {args.input_length}"
+        )
     model = data.load_weights(args.weights, input_length=args.input_length)
     rng = np.random.default_rng(0)
     sample = rng.standard_normal((1, model.input_length, 1)).astype(model.dtype)
@@ -315,11 +314,11 @@ def cmd_export_attention(args) -> int:
 def cmd_preprocess(args) -> int:
     _, outdir, (raw, filtered) = _begin_run(args, _load_filtered)
     out_path = outdir / "filtered.csv"
-    with data.atomic_open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"X{i + 1}" for i in range(filtered.shape[1])] + ["y"])
-        for row, label in zip(filtered, raw.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    data.write_csv(
+        out_path,
+        [f"X{i + 1}" for i in range(filtered.shape[1])] + ["y"],
+        ([repr(float(v)) for v in row] + [int(label)] for row, label in zip(filtered, raw.labels)),
+    )
     print(f"wrote {len(raw.labels)} filtered rows to {out_path}")
     return 0
 
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("bench", help="single-sample inference latency")
     sub.add_argument("--weights", required=True)
     sub.add_argument("--n-samples", dest="n_samples", type=int, default=200)
-    sub.add_argument("--input-length", dest="input_length", type=int, default=16)
+    sub.add_argument("--input-length", dest="input_length", type=int, default=dsp.NUM_CHANNELS)
     sub.set_defaults(func=cmd_bench)
 
     sub = subs.add_parser("gradcheck", help="finite-difference checks for every layer")

@@ -1,5 +1,6 @@
-"""Dataset ingestion, stratified splitting, class weighting, attention
-export, and the binary weight-file format.
+"""Dataset ingestion, stratified splitting, class weighting, the binary
+weight-file format, and the atomic CSV and JSON writers every artifact goes
+through.
 
 Weight files: magic "PNW1", an 8-byte little-endian header length, a UTF-8
 JSON header {"version": 1, "variant": ..., "tensors": [{"name", "shape",
@@ -206,6 +207,50 @@ def class_weights(labels, num_classes: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# artifact writers
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a sibling temp file for writing; when the block ends without an
+    error, one ``os.replace`` moves it onto ``path``, so ``path`` never holds
+    a partial file. On any error the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """A header row and then ``rows``, through :func:`atomic_open`."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as two-space indented JSON and a newline, through
+    :func:`atomic_open`."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def attention_to_csv(path, per_sample: np.ndarray, mean: np.ndarray) -> None:
+    """CSV with a sample column, a_000..a_127, and a final MEAN row."""
+    width = per_sample.shape[1] if per_sample.size else len(mean)
+    rows = [[idx] + [repr(float(v)) for v in row] for idx, row in enumerate(per_sample)]
+    rows.append(["MEAN"] + [repr(float(v)) for v in mean])
+    write_csv(path, ["sample"] + [f"a_{i:03d}" for i in range(width)], rows)
+
+
+# ---------------------------------------------------------------------------
 # weight serialization
 
 
@@ -229,22 +274,6 @@ def crc64(data: bytes) -> int:
     for byte in data:
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFFFFFFFFFF
-
-
-@contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a sibling temp file for writing; when the block ends without an
-    error, one ``os.replace`` moves it onto ``path``, so ``path`` never holds
-    a partial file. On any error the temp file is removed."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_weights(model: ModelGraph, path) -> None:
@@ -317,7 +346,8 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def load_weights(path, model: ModelGraph | None = None, input_length: int = 16) -> ModelGraph:
+def load_weights(path, model: ModelGraph | None = None,
+                 input_length: int = NUM_CHANNELS) -> ModelGraph:
     """Restore parameters from a weight file.
 
     With ``model``, the file must match it tensor for tensor (the first
@@ -359,34 +389,3 @@ def load_weights(path, model: ModelGraph | None = None, input_length: int = 16) 
             raise WeightFormatError(f"{path}: non-finite values in tensor {name!r}")
         param.data = stored.astype(model.dtype)
     return model
-
-
-# ---------------------------------------------------------------------------
-# attention export
-
-
-def export_attention(model: ModelGraph, rows, batch_size: int = 256):
-    """Infer-mode attention weights per sample plus the dataset mean.
-
-    ``rows`` is [n, 16] standardized features; returns ([n, 128], [128]).
-    """
-    if model.variant == "no_attention":
-        raise DataError("the no_attention variant has no attention weights to export")
-    from .training import infer_batches  # training imports this module
-
-    rows = np.asarray(rows, dtype=model.dtype)
-    if rows.ndim != 2:
-        raise DataError(f"expected [n, {NUM_CHANNELS}] rows, got shape {rows.shape}")
-    per_sample = infer_batches(model, rows, batch_size, return_attention=True)
-    return per_sample, per_sample.mean(axis=0)
-
-
-def attention_to_csv(path, per_sample: np.ndarray, mean: np.ndarray) -> None:
-    """CSV with a sample column, a_000..a_127, and a final MEAN row."""
-    width = per_sample.shape[1] if per_sample.size else len(mean)
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample"] + [f"a_{i:03d}" for i in range(width)])
-        for idx, row in enumerate(per_sample):
-            writer.writerow([idx] + [repr(float(v)) for v in row])
-        writer.writerow(["MEAN"] + [repr(float(v)) for v in mean])

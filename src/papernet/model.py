@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import NUM_CHANNELS
 from .errors import ShapeError
 from . import layers
 from .tensor import Tensor, relu, softmax_lastaxis
@@ -73,7 +74,7 @@ def _glorot(rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
 
 def build_papernet(
     num_classes: int = 4,
-    input_length: int = 16,
+    input_length: int = NUM_CHANNELS,
     variant: str = "full",
     seed: int = 0,
     dtype=np.float32,

@@ -1,25 +1,31 @@
-"""Optimization protocol: weighted cross-entropy with an L2 penalty (one
-fused tape node, :func:`weighted_cross_entropy`), Adam, reduce-on-plateau on
-validation macro-F1, early stopping, checkpointing, and per-epoch history
-logging."""
+"""Optimization protocol and the inference loop.
+
+Training: weighted cross-entropy with an L2 penalty (one fused tape node,
+:func:`weighted_cross_entropy`), Adam, checkpointing, and per-epoch history
+logging. One stall counter (:class:`Plateau`) on validation macro-F1 drives
+both reduce-on-plateau and early stopping. Inference: :func:`infer_batches`
+runs the infer-mode forward ``INFER_BATCH`` rows at a time for
+:func:`predict_probs` and :func:`export_attention`.
+"""
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import SplitIndices, atomic_open, class_weights, save_weights
-from .errors import ConfigError, NonFiniteError, TrainingError
+from .data import SplitIndices, class_weights, save_weights, write_csv
+from .dsp import NUM_CHANNELS
+from .errors import ConfigError, DataError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
 from .model import CONV_WIDTHS, ModelGraph, forward
 from .tensor import ComputationTape, Tensor, _make_output, backward
 
 IMPROVEMENT_DELTA = 1e-4
 LOG_FLOOR = 1e-12
+INFER_BATCH = 256  # rows per infer-mode forward
 
 
 @dataclass
@@ -126,61 +132,37 @@ def weighted_cross_entropy(
     return _make_output(loss, (probs, *matrices), "weighted_cross_entropy", rule)
 
 
-class PlateauScheduler:
-    """Halve the learning rate after ``patience`` consecutive epochs without
-    an improvement > 1e-4, never below ``min_lr``."""
+class Plateau:
+    """Reduce-on-plateau and early stopping on one counter.
 
-    def __init__(self, lr0: float, patience: int = 3, factor: float = 0.5,
-                 min_lr: float = 1e-6, delta: float = IMPROVEMENT_DELTA):
-        self.lr = lr0
-        self.patience = patience
-        self.factor = factor
-        self.min_lr = min_lr
-        self.delta = delta
-        self.best = -np.inf
-        self.wait = 0
+    ``stall`` counts the epochs since the metric last rose by more than
+    1e-4. Each time it reaches a multiple of ``plateau_patience`` the
+    learning rate is multiplied by ``plateau_factor`` (never below
+    ``min_lr``); at ``early_stop_patience`` the run stops. ``best_epoch`` is
+    the strict argmax of the metric (earliest on ties).
+    """
 
-    def observe(self, metric: float) -> float:
-        if metric > self.best + self.delta:
-            self.best = metric
-            self.wait = 0
-        else:
-            self.wait += 1
-            if self.wait >= self.patience:
-                self.lr = max(self.min_lr, self.lr * self.factor)
-                self.wait = 0
-        return self.lr
-
-
-class EarlyStopper:
-    """Stop after ``patience`` consecutive epochs without an improvement
-    > 1e-4; ``best_epoch`` is the strict argmax (earliest on ties)."""
-
-    def __init__(self, patience: int = 6, delta: float = IMPROVEMENT_DELTA):
-        self.patience = patience
-        self.delta = delta
+    def __init__(self, config: TrainConfig):
+        self.config = config
+        self.lr = config.lr0
+        self.stall = 0
         self.epoch = 0
-        self.wait = 0
-        self.counter_best = -np.inf
-        self.best_value = -np.inf
         self.best_epoch = 0
+        self._best = -np.inf  # the argmax value
+        self._level = -np.inf  # the value a gain must beat by IMPROVEMENT_DELTA
 
     def observe(self, metric: float) -> bool:
+        """Record one epoch's metric; True when the run should stop."""
         self.epoch += 1
-        improved_argmax = metric > self.best_value
-        if improved_argmax:
-            self.best_value = metric
-            self.best_epoch = self.epoch
-        if metric > self.counter_best + self.delta:
-            self.counter_best = metric
-            self.wait = 0
+        if metric > self._best:
+            self._best, self.best_epoch = metric, self.epoch
+        if metric > self._level + IMPROVEMENT_DELTA:
+            self._level, self.stall = metric, 0
             return False
-        self.wait += 1
-        return self.wait >= self.patience
-
-    @property
-    def improved(self) -> bool:
-        return self.best_epoch == self.epoch
+        self.stall += 1
+        if self.stall % self.config.plateau_patience == 0:
+            self.lr = max(self.config.min_lr, self.lr * self.config.plateau_factor)
+        return self.stall >= self.config.early_stop_patience
 
 
 @dataclass
@@ -199,48 +181,48 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "train_loss", "train_acc", "val_acc", "val_macro_f1", "lr", "seconds"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.epoch,
-                        repr(r.train_loss),
-                        repr(r.train_acc),
-                        repr(r.val_acc),
-                        repr(r.val_macro_f1),
-                        repr(r.lr),
-                        repr(r.seconds),
-                    ]
-                )
+        """One row per epoch, columns in EpochRecord field order."""
+        write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, self.records))
 
     def best_val_macro_f1(self) -> float:
         return max(r.val_macro_f1 for r in self.records)
 
 
-def infer_batches(model: ModelGraph, rows, batch_size: int = 256,
-                  return_attention: bool = False) -> np.ndarray:
-    """Infer-mode forward over [n, T] or [n, T, 1] rows, ``batch_size`` at a
+def infer_batches(model: ModelGraph, rows, return_attention: bool = False) -> np.ndarray:
+    """Infer-mode forward over [n, T] or [n, T, 1] rows, ``INFER_BATCH`` at a
     time: the [n, K] class probabilities, or with ``return_attention`` the
     [n, 128] attention vectors."""
     rows = np.asarray(rows, dtype=model.dtype)
     if rows.ndim == 2:
         rows = rows[:, :, None]
     out = []
-    for start in range(0, len(rows), batch_size):
-        result = forward(model, rows[start : start + batch_size], mode="infer",
-                         return_attention=return_attention)
-        out.append((result[1] if return_attention else result).data.copy())
+    # every op output is checked for NaN/Inf, so numpy's own warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(rows), INFER_BATCH):
+            result = forward(model, rows[start : start + INFER_BATCH], mode="infer",
+                             return_attention=return_attention)
+            out.append((result[1] if return_attention else result).data.copy())
     width = CONV_WIDTHS[-1] if return_attention else model.num_classes
     return np.concatenate(out, axis=0) if out else np.zeros((0, width), dtype=model.dtype)
 
 
-def predict_probs(model: ModelGraph, rows, batch_size: int = 256) -> np.ndarray:
+def predict_probs(model: ModelGraph, rows) -> np.ndarray:
     """Infer-mode class probabilities for [n, T] or [n, T, 1] rows."""
-    return infer_batches(model, rows, batch_size)
+    return infer_batches(model, rows)
+
+
+def export_attention(model: ModelGraph, rows):
+    """Infer-mode attention weights per sample plus the dataset mean.
+
+    ``rows`` is [n, 16] standardized features; returns ([n, 128], [128]).
+    """
+    if model.variant == "no_attention":
+        raise DataError("the no_attention variant has no attention weights to export")
+    rows = np.asarray(rows, dtype=model.dtype)
+    if rows.ndim != 2:
+        raise DataError(f"expected [n, {NUM_CHANNELS}] rows, got shape {rows.shape}")
+    per_sample = infer_batches(model, rows, return_attention=True)
+    return per_sample, per_sample.mean(axis=0)
 
 
 def train(
@@ -271,10 +253,7 @@ def train(
     model.dropout_p = config.dropout
     trainable = model.trainable()
     adam = AdamState.for_params(trainable)
-    scheduler = PlateauScheduler(
-        config.lr0, config.plateau_patience, config.plateau_factor, config.min_lr
-    )
-    stopper = EarlyStopper(config.early_stop_patience)
+    plateau = Plateau(config)
     history = TrainHistory()
     best_model = model.copy()
     n_train = len(y_train)
@@ -284,7 +263,7 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        lr_used = scheduler.lr
+        lr_used = plateau.lr
         perm = np.random.default_rng([config.seed, epoch]).permutation(n_train)
         loss_sum = 0.0
         correct = 0
@@ -306,10 +285,10 @@ def train(
                 model.zero_grad()
                 loss_sum += loss.item() * len(idx)
                 correct += int(np.sum(probs.data.argmax(axis=1) == y_train[idx]))
-            try:
-                val_probs = predict_probs(model, x_val)
-            except NonFiniteError as exc:
-                raise TrainingError(f"epoch {epoch} validation: {exc}") from exc
+        try:
+            val_probs = predict_probs(model, x_val)
+        except NonFiniteError as exc:
+            raise TrainingError(f"epoch {epoch} validation: {exc}") from exc
 
         val_prf = prf_metrics(confusion(y_val, val_probs.argmax(axis=1), k))
         record = EpochRecord(
@@ -322,10 +301,9 @@ def train(
             seconds=time.perf_counter() - t0,
         )
         history.records.append(record)
-        stop = stopper.observe(val_prf.macro_f1)
-        if stopper.improved:
+        stop = plateau.observe(val_prf.macro_f1)
+        if plateau.best_epoch == epoch:
             best_model = model.copy()
-        scheduler.observe(val_prf.macro_f1)
         if stop:
             break
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import papernet.checks as checks_mod
 import papernet.tensor as tensor_mod
 from papernet.cli import RunConfig, build_parser, main
-from papernet.data import load_weights
+from papernet.data import load_weights, save_weights
 from papernet.model import build_papernet, count_parameters
 from papernet.tensor import Tensor, gradcheck
 
@@ -226,6 +226,15 @@ def _bytes_csv(path, blob):
     return path
 
 
+def _weights(path, conv1_kernel=None):
+    """A valid weight file; ``conv1_kernel`` fills the first conv kernel."""
+    model = build_papernet(seed=0)
+    if conv1_kernel is not None:
+        model.params["conv1.kernel"].data[...] = conv1_kernel
+    save_weights(model, path)
+    return path
+
+
 BAD_INPUTS = {
     "evaluate_missing_weights": (3, lambda d, t: [
         "evaluate", "--data", str(d), "--outdir", str(t / "o"),
@@ -270,6 +279,13 @@ BAD_INPUTS = {
     "diverging_lr": (1, lambda d, t: [
         "train", "--data", str(d), "--outdir", str(t / "o"), "--lr0", "1e30",
         "--batch-size", "32"]),
+    "huge_weights": (1, lambda d, t: [
+        "evaluate", "--data", str(d), "--outdir", str(t / "o"),
+        "--weights", str(_weights(t / "w", conv1_kernel=3e38))]),  # overflows float32
+    "bench_huge_n_samples": (2, lambda d, t: [
+        "bench", "--weights", str(_weights(t / "w")), "--n-samples", str(10**30)]),
+    "bench_huge_input_length": (2, lambda d, t: [
+        "bench", "--weights", str(_weights(t / "w")), "--input-length", str(10**30)]),
 }
 
 

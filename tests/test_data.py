@@ -1,7 +1,9 @@
+import ast
 import errno
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +20,17 @@ from papernet.data import (
     attention_to_csv,
     class_weights,
     crc64,
-    export_attention,
     load_csv,
     load_weights,
     save_weights,
     stratified_split,
+    write_csv as write_csv_artifact,
+    write_json,
 )
 from papernet.errors import DataError, WeightFormatError
 from papernet.metrics import evaluate_probs, report_to_json
 from papernet.model import build_papernet, forward
+from papernet.training import export_attention
 
 from conftest import write_csv
 
@@ -373,6 +377,44 @@ class TestAtomicSave:
             report_to_json(evaluate_probs(labels, probs[:, ::-1], 2), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    @pytest.mark.parametrize(
+        "writer, earlier, later",
+        [
+            (write_csv_artifact, (["a", "b"], [[1, 2.5]]), (["a", "b"], [[3, 4.5]] * 500)),
+            (write_json, ({"a": [1, 2.5]},), ({"a": list(range(500))},)),
+        ],
+        ids=["write_csv", "write_json"],
+    )
+    def test_text_writer_failure_keeps_earlier_file(self, tmp_path, monkeypatch, failing,
+                                                    writer, earlier, later):
+        path = tmp_path / "artifact"
+        writer(path, *earlier)
+        before = path.read_bytes()
+        self._fail_on(failing, monkeypatch)
+        with pytest.raises(OSError):
+            writer(path, *later)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def test_data_never_imports_training():
+    """``data`` sits below ``training``: neither it nor any module it
+    imports, at the top or inside a function, imports ``training``."""
+    package = Path(data.__file__).parent
+    seen, todo = set(), ["data"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from .x import y" names module x; "from . import x" names x
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    assert "data" in seen and "model" in seen
+    assert "training" not in seen, sorted(seen)
 
 
 class TestWeightHeader:

@@ -188,6 +188,27 @@ def test_auc_matches_pairwise_oracle_on_tied_and_untied_scores(rows):
     assert curves[1].auc == pytest.approx(pairwise_auc(scores, positive), abs=1e-9)
 
 
+# K x K counts; small counts and a sparse mask make empty rows (a class
+# never true), empty columns (never predicted) and all-zero matrices common
+_CONFUSIONS = st.integers(1, 6).flatmap(
+    lambda k: st.lists(
+        st.integers(0, 3) | st.just(0) | st.integers(0, 10**6), min_size=k * k, max_size=k * k
+    ).map(lambda cells: np.array(cells, dtype=np.int64).reshape(k, k))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cm=_CONFUSIONS)
+def test_f1_matches_count_form(cm):
+    """The reported 2PR/(P+R) equals 2TP/(2TP+FP+FN), 0 where undefined."""
+    for k, c in enumerate(prf_metrics(cm).per_class):
+        tp = cm[k, k]
+        fp = cm[:, k].sum() - tp
+        fn = cm[k, :].sum() - tp
+        counts_form = 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+        assert c.f1 == pytest.approx(counts_form, rel=0, abs=1e-12)
+
+
 class TestMcNemar:
     def test_fifteen_five_disagreement(self):
         a = np.zeros(40, dtype=bool)

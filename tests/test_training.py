@@ -10,8 +10,7 @@ from papernet.model import build_papernet
 from papernet.tensor import ComputationTape, Tensor, backward, softmax_lastaxis
 from papernet.training import (
     AdamState,
-    EarlyStopper,
-    PlateauScheduler,
+    Plateau,
     TrainConfig,
     adam_step,
     predict_probs,
@@ -138,53 +137,68 @@ class TestAdam:
             adam_step(p, AdamState.for_params(p), lr=1e-3)
 
 
-class TestPlateauScheduler:
+class TestPlateau:
+    # learning-rate cuts
     def test_improving_keeps_lr(self):
-        sched = PlateauScheduler(1e-3)
+        plateau = Plateau(TrainConfig(lr0=1e-3))
         for f1 in (0.5, 0.6, 0.7, 0.8):
-            assert sched.observe(f1) == 1e-3
+            plateau.observe(f1)
+            assert plateau.lr == 1e-3
 
     def test_flat_three_epochs_halves(self):
-        sched = PlateauScheduler(1e-3)
-        sched.observe(0.5)
-        assert sched.observe(0.5) == 1e-3
-        assert sched.observe(0.5) == 1e-3
-        assert sched.observe(0.5) == 5e-4
+        plateau = Plateau(TrainConfig(lr0=1e-3))
+        plateau.observe(0.5)
+        lrs = []
+        for _ in range(3):
+            plateau.observe(0.5)
+            lrs.append(plateau.lr)
+        assert lrs == [1e-3, 1e-3, 5e-4]
 
     def test_floors_at_min_lr(self):
-        sched = PlateauScheduler(1e-3, min_lr=1e-6)
-        sched.observe(0.9)
+        plateau = Plateau(TrainConfig(lr0=1e-3, min_lr=1e-6))
+        plateau.observe(0.9)
         for _ in range(40):
-            lr = sched.observe(0.9)
-        assert lr == 1e-6
+            plateau.observe(0.9)
+        assert plateau.lr == 1e-6
 
     def test_lr_sequence_non_increasing(self):
         rng = np.random.default_rng(0)
-        sched = PlateauScheduler(1e-3)
+        plateau = Plateau(TrainConfig(lr0=1e-3))
         last = 1e-3
         for f1 in rng.random(50):
-            lr = sched.observe(f1)
-            assert lr <= last
-            last = lr
+            plateau.observe(f1)
+            assert plateau.lr <= last
+            last = plateau.lr
 
-
-class TestEarlyStopper:
+    # early stopping and the best epoch
     def test_monotone_never_stops(self):
-        stop = EarlyStopper()
+        plateau = Plateau(TrainConfig())
         for f1 in np.linspace(0.1, 0.9, 60):
-            assert not stop.observe(f1)
+            assert not plateau.observe(f1)
 
     def test_single_peak_then_flat_stops_at_seven(self):
-        stop = EarlyStopper()
-        flags = [stop.observe(f1) for f1 in [0.9] + [0.85] * 6]
+        plateau = Plateau(TrainConfig())
+        flags = [plateau.observe(f1) for f1 in [0.9] + [0.85] * 6]
         assert flags == [False] * 6 + [True]
-        assert stop.best_epoch == 1
+        assert plateau.best_epoch == 1
 
     def test_tie_keeps_earliest(self):
-        stop = EarlyStopper()
+        plateau = Plateau(TrainConfig())
         for f1 in (0.5, 0.8, 0.6, 0.7, 0.8):
-            stop.observe(f1)
-        assert stop.best_epoch == 2
+            plateau.observe(f1)
+        assert plateau.best_epoch == 2
+
+    def test_cuts_and_stop_share_the_stall_count(self):
+        """A gain resets the count both rules read; the LR is cut at every
+        second stalled epoch and the run stops at the fifth."""
+        plateau = Plateau(TrainConfig(lr0=1e-3, plateau_patience=2, early_stop_patience=5))
+        lrs, stops = [], []
+        for f1 in (0.5, 0.5, 0.5, 0.6, 0.60005, 0.6, 0.6, 0.6, 0.6):
+            stops.append(plateau.observe(f1))
+            lrs.append(plateau.lr)
+        assert lrs == [1e-3, 1e-3, 5e-4, 5e-4, 5e-4, 2.5e-4, 2.5e-4, 1.25e-4, 1.25e-4]
+        assert stops == [False] * 8 + [True]
+        assert plateau.best_epoch == 5  # 0.60005 is the argmax, though no 1e-4 gain
 
 
 class TestTrainLoop:
