@@ -5,28 +5,30 @@ Run:  python3 demos/01_autodiff_basics.py
 
 import numpy as np
 
+from papernet.layers import dense
 from papernet.tensor import (
     ComputationTape,
     Tensor,
     backward,
     gradcheck,
-    matmul,
-    mul,
-    reduce_sum,
-    sigmoid,
+    reduce_mean,
+    relu,
     softmax_lastaxis,
 )
 
 # Tensors wrap numpy arrays; requires_grad marks leaves we differentiate.
 w = Tensor(np.array([[0.4, -0.7], [1.2, 0.1]]), requires_grad=True, dtype=np.float64)
+b = Tensor(np.array([0.1, -0.2]), requires_grad=True, dtype=np.float64)
 x = Tensor(np.array([[1.0, 2.0]]), dtype=np.float64)
 
-# Operations executed inside a tape context are recorded in order.
+# Operations executed inside a tape context are recorded in order; each
+# layer is one node with a hand-written backward rule.
 with ComputationTape() as tape:
-    hidden = sigmoid(matmul(x, w))
-    loss = reduce_sum(mul(hidden, hidden))
+    hidden = relu(dense(x, w, b))
+    loss = reduce_mean(hidden)
     backward(tape, loss)
 
+print("tape nodes       :", [node.name for node in tape.nodes])
 print("loss             :", loss.item())
 print("d loss / d w     :\n", w.grad)
 
@@ -37,9 +39,12 @@ except Exception as exc:
     print("second backward  :", type(exc).__name__, "-", exc)
 
 # Every backward rule is verified against central finite differences.
-w64 = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
-err = gradcheck(lambda t: reduce_sum(mul(sigmoid(t), sigmoid(t))), w64)
-print(f"gradcheck sigmoid chain: max relative error {err:.2e}")
+rng = np.random.default_rng(0)
+x64 = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+w64 = Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=np.float64)
+b64 = Tensor(rng.normal(size=2), requires_grad=True, dtype=np.float64)
+err = gradcheck(lambda *t: reduce_mean(relu(dense(*t))), [x64, w64, b64])
+print(f"gradcheck dense-relu chain: max relative error {err:.2e}")
 
 # Softmax rows always sum to one; the checker works on any composite.
 logits = Tensor(np.random.default_rng(1).normal(size=(2, 5)), requires_grad=True, dtype=np.float64)

@@ -332,6 +332,8 @@ def _parse_weight_file(path):
         ):
             raise WeightFormatError(f"{path}: malformed tensor entry {entry!r}")
         name, start, length = entry["name"], entry["offset"], entry["len"]
+        if name in tensors:
+            raise WeightFormatError(f"{path}: tensor {name!r} listed twice in the header")
         if length != 4 * math.prod(entry["shape"]):
             raise WeightFormatError(f"{path}: tensor {name!r} length disagrees with its shape")
         if start + length > len(data):

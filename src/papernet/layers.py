@@ -2,11 +2,12 @@
 bidirectional LSTM, dropout, and dense projections.
 
 Sequence layers take batched [B, T, C] tensors only; dense and dropout
-act on [B, F]. Every layer is differentiable through the tape in
-:mod:`papernet.tensor`. Four layers are fused: each call records one tape
-node with a hand-written backward rule, covered by the gradient checks --
-convolution, max pooling, batch norm, and the BiLSTM (both directions in
-one node, with backpropagation through time in numpy).
+act on [B, F]. Every layer records one tape node per call (infer-mode
+dropout, the identity, records none), so its backward rule is written by
+hand and covered by the gradient checks: convolution, max pooling, batch
+norm, the squeeze-and-excitation block, the BiLSTM (both directions in one
+node, with backpropagation through time in numpy), dropout and dense. The
+global pools are one reduction each from :mod:`papernet.tensor`.
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (
-    Tensor,
-    _make_output,
-    add,
-    matmul,
-    mul,
-    reduce_max,
-    reduce_mean,
-    relu,
-    reshape,
-    sigmoid,
-)
+from .tensor import Tensor, _make_output, reduce_max, reduce_mean
 
 MODES = ("train", "infer")
 
@@ -168,22 +158,43 @@ def se_residual_attention(
     """Squeeze-and-excitation over the feature axis.
 
     ``feats`` is [B, T, C]. The time-mean descriptor goes through the
-    two-layer bottleneck given by w1/w2 (ReLU then sigmoid); with
-    ``residual`` the output is (1 + a) * F, otherwise a * F.
-    Returns (output [B, T, C], attention [B, C]).
+    two-layer bottleneck given by w1 [C, H] / w2 [H, C] (ReLU then
+    sigmoid); with ``residual`` the output is (1 + a) * F, otherwise a * F.
+    Returns (output [B, T, C], attention [B, C]); the attention is a plain
+    tensor outside the tape.
     """
     _require_btc(feats, "se_residual_attention")
-    batch, _, channels = feats.shape
-    if w1.shape[0] != channels or w2.shape[1] != channels:
-        raise ShapeError(
-            f"bottleneck shapes {w1.shape}/{w2.shape} do not match width {channels}"
-        )
-    desc = reduce_mean(feats, axis=1)
-    hidden = relu(add(matmul(desc, w1), b1))
-    attn = sigmoid(add(matmul(hidden, w2), b2))
-    scaled = mul(feats, reshape(attn, (batch, 1, channels)))
-    out = add(scaled, feats) if residual else scaled
-    return out, attn
+    steps, channels = feats.shape[1:]
+    if w1.ndim != 2 or w1.shape[0] != channels:
+        raise ShapeError(f"SE w1 shape {w1.shape} does not match [C, H] with C={channels}")
+    hidden = w1.shape[1]
+    if w2.shape != (hidden, channels):
+        raise ShapeError(f"SE w2 shape {w2.shape} does not match [H, C]=[{hidden}, {channels}]")
+    if b1.shape != (hidden,):
+        raise ShapeError(f"SE b1 shape {b1.shape} does not match [H]=[{hidden}]")
+    if b2.shape != (channels,):
+        raise ShapeError(f"SE b2 shape {b2.shape} does not match [C]=[{channels}]")
+    fd = feats.data
+    desc = fd.mean(axis=1)
+    z1 = desc @ w1.data + b1.data
+    h = np.maximum(z1, 0)
+    # overflow-free sigmoid
+    attn = 0.5 * np.tanh(0.5 * (h @ w2.data + b2.data)) + 0.5
+    scale = attn[:, None, :]
+    out = fd * scale + fd if residual else fd * scale
+
+    def rule(g):
+        # gradient of the pre-sigmoid activations, then back through the
+        # bottleneck to the descriptor
+        d_z2 = (g * fd).sum(axis=1) * attn * (1.0 - attn)
+        d_z1 = (d_z2 @ w2.data.T) * (z1 > 0)
+        d_desc = d_z1 @ w1.data.T
+        d_feats = g + g * scale if residual else g * scale
+        d_feats += d_desc[:, None, :] / steps
+        return d_feats, desc.T @ d_z1, d_z1.sum(axis=0), h.T @ d_z2, d_z2.sum(axis=0)
+
+    out = _make_output(out, (feats, w1, b1, w2, b2), "se_residual_attention", rule)
+    return out, Tensor(attn)
 
 
 def _lstm_forward(x2d, weight, bias, out, reverse):
@@ -310,12 +321,23 @@ def dropout(x: Tensor, p: float, mode: str = "infer", rng=None) -> Tensor:
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, Tensor(keep))
+    return _make_output(x.data * keep, (x,), "dropout", lambda g: (g * keep,))
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine projection x @ W + b for [B, in] inputs."""
-    return add(matmul(x, weight), bias)
+    if x.ndim != 2 or weight.ndim != 2:
+        raise ShapeError(f"dense needs 2-D operands, got {x.shape} @ {weight.shape}")
+    if x.shape[1] != weight.shape[0]:
+        raise ShapeError(f"dense inner extents disagree: {x.shape} @ {weight.shape}")
+    if bias.shape != weight.shape[1:]:
+        raise ShapeError(f"dense bias shape {bias.shape} does not match [out]={weight.shape[1:]}")
+    xd, wd = x.data, weight.data
+
+    def rule(g):
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
+
+    return _make_output(xd @ wd + bias.data, (x, weight, bias), "dense", rule)
 
 
 def global_avg_pool_time(x: Tensor) -> Tensor:

@@ -2,7 +2,11 @@
 
 Training runs in float32; gradient checks run in float64. Every operation
 validates that its output is finite and, while a tape is active, records a
-backward rule so one reverse sweep yields exact gradients.
+backward rule so one reverse sweep yields exact gradients. Only the ops the
+model calls between its layers live here: ``relu``, ``softmax_lastaxis``,
+``reduce_mean`` and ``reduce_max``. Each layer in :mod:`papernet.layers`
+and the training loss record their one node through :func:`_make_output`
+with a hand-written rule.
 """
 
 from __future__ import annotations
@@ -136,13 +140,6 @@ def backward(tape: ComputationTape, loss: Tensor) -> None:
             inp.accumulate_grad(g)
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _check_finite(arr: np.ndarray, opname: str) -> None:
     # one reduction instead of isfinite().all(): any NaN/Inf makes the
     # float64 sum non-finite, and float32 data cannot overflow it
@@ -159,79 +156,11 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule) ->
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over the axes numpy broadcasting introduced."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, ext in enumerate(shape) if ext == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def add(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    data = a.data + b.data
-
-    def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make_output(data, (a, b), "add", rule)
-
-
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    data = a.data * b.data
-
-    def rule(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _make_output(data, (a, b), "mul", rule)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra and shape ops
-
-
-def matmul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def rule(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _make_output(data, (a, b), "matmul", rule)
-
-
-def reshape(a, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    data = a.data.reshape(shape)
-
-    def rule(g):
-        return (g.reshape(a.shape),)
-
-    return _make_output(data, (a,), "reshape", rule)
-
-
 # ---------------------------------------------------------------------------
 # activations
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
     mask = a.data > 0
 
@@ -241,20 +170,8 @@ def relu(a) -> Tensor:
     return _make_output(data, (a,), "relu", rule)
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    # tanh form is overflow-free for any input
-    data = 0.5 * np.tanh(0.5 * a.data) + 0.5
-
-    def rule(g):
-        return (g * data * (1.0 - data),)
-
-    return _make_output(data, (a,), "sigmoid", rule)
-
-
-def softmax_lastaxis(a) -> Tensor:
+def softmax_lastaxis(a: Tensor) -> Tensor:
     """Row-stable softmax along the last axis."""
-    a = _as_tensor(a)
     if a.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last axis")
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -286,21 +203,7 @@ def _check_nonempty(a: Tensor, axes: tuple[int, ...], name: str) -> None:
             raise ShapeError(f"{name} over empty axis {ax} of shape {a.shape}")
 
 
-def reduce_sum(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    axes = _normalize_axes(axis, a.ndim)
-    _check_nonempty(a, axes, "sum")
-    data = a.data.sum(axis=axes)
-    kept = tuple(1 if i in axes else ext for i, ext in enumerate(a.shape))
-
-    def rule(g):
-        return (np.broadcast_to(g.reshape(kept), a.shape).astype(g.dtype, copy=True),)
-
-    return _make_output(data, (a,), "reduce_sum", rule)
-
-
-def reduce_mean(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
+def reduce_mean(a: Tensor, axis=None) -> Tensor:
     axes = _normalize_axes(axis, a.ndim)
     _check_nonempty(a, axes, "mean")
     count = 1
@@ -316,9 +219,8 @@ def reduce_mean(a, axis=None) -> Tensor:
     return _make_output(data, (a,), "reduce_mean", rule)
 
 
-def reduce_max(a, axis: int) -> Tensor:
+def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max along one axis; gradient flows to the first maximal index on ties."""
-    a = _as_tensor(a)
     (ax,) = _normalize_axes(axis, a.ndim)
     _check_nonempty(a, (ax,), "max")
     data = a.data.max(axis=ax)
@@ -366,13 +268,16 @@ def gradcheck(
     projection = None
     if probe.size != 1:
         proj_rng = np.random.default_rng(seed)
-        projection = Tensor(proj_rng.uniform(0.5, 1.5, size=probe.shape), dtype=np.float64)
+        projection = proj_rng.uniform(0.5, 1.5, size=probe.shape)
 
     def scalar_eval() -> Tensor:
         out = fn(*tensors)
-        if projection is not None:
-            out = reduce_sum(mul(out, projection))
-        return out
+        if projection is None:
+            return out
+        return _make_output(
+            np.asarray((out.data * projection).sum()), (out,), "projection",
+            lambda g: (g * projection,),
+        )
 
     with ComputationTape() as tape:
         loss = scalar_eval()

@@ -10,6 +10,7 @@ runs the infer-mode forward ``INFER_BATCH`` rows at a time for
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -43,8 +44,9 @@ class TrainConfig:
     class_weighting: bool = True
 
     def validate(self) -> None:
-        if not (self.lr0 >= 0 and self.min_lr > 0 and self.l2 >= 0):  # NaN fails too
-            raise ConfigError("learning rates and l2 must be non-negative (min_lr > 0)")
+        rates = (self.lr0, self.min_lr, self.l2)
+        if not (all(0 <= v < math.inf for v in rates) and self.min_lr > 0):  # NaN fails too
+            raise ConfigError("learning rates and l2 must be finite and non-negative (min_lr > 0)")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2 (batch norm), got {self.batch_size}")
         if self.max_epochs < 1:

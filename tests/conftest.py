@@ -1,7 +1,11 @@
 import csv
+import json
+import struct
 
 import numpy as np
 import pytest
+
+from papernet.data import WEIGHT_MAGIC, crc64
 
 
 def make_synthetic(n=2000, num_classes=4, n_features=16, seed=0, noise=0.5):
@@ -20,6 +24,20 @@ def write_csv(path, features, labels):
         writer.writerow([f"X{i + 1}" for i in range(features.shape[1])] + ["y"])
         for row, label in zip(features, labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+def repeat_weight_entry(path, name):
+    """Rewrite a weight file so its header lists ``name`` a second time,
+    pointing at offset 0, under a valid CRC-64."""
+    blob = path.read_bytes()
+    header_end = 12 + struct.unpack("<Q", blob[4:12])[0]
+    header = json.loads(blob[12:header_end])
+    entry = next(e for e in header["tensors"] if e["name"] == name)
+    header["tensors"].append({**entry, "offset": 0})
+    raw = json.dumps(header).encode("utf-8")
+    body = WEIGHT_MAGIC + struct.pack("<Q", len(raw)) + raw + blob[header_end:-8]
+    path.write_bytes(body + struct.pack("<Q", crc64(body)))
+    return path
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from papernet.data import load_weights, save_weights
 from papernet.model import build_papernet, count_parameters
 from papernet.tensor import Tensor, gradcheck
 
-from conftest import make_synthetic, write_csv
+from conftest import make_synthetic, repeat_weight_entry, write_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -151,10 +151,10 @@ class TestBenchCommand:
 class TestGradcheckCommand:
     def test_passing_subset_exit_0(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            checks_mod, "SUITE", {"matmul": checks_mod.check_matmul}
+            checks_mod, "SUITE", {"relu": checks_mod.check_relu}
         )
         assert run(["gradcheck"]) == 0
-        assert "PASS matmul" in capsys.readouterr().out
+        assert "PASS relu" in capsys.readouterr().out
 
     def test_corrupted_backward_rule_exit_1(self, monkeypatch, capsys):
         def bad_tanh(x):
@@ -175,7 +175,7 @@ class TestGradcheckCommand:
 
         monkeypatch.setattr(
             checks_mod, "SUITE",
-            {"matmul": checks_mod.check_matmul, "tanh": corrupted_check},
+            {"relu": checks_mod.check_relu, "tanh": corrupted_check},
         )
         assert run(["gradcheck"]) == 1
         out = capsys.readouterr().out
@@ -262,6 +262,12 @@ BAD_INPUTS = {
         "preprocess", "--data", str(d), "--outdir", str(t / "o"), "--num-classes", "0"]),
     "nan_learning_rate": (2, lambda d, t: [
         "train", "--data", str(d), "--outdir", str(t / "o"), "--lr0", "nan"]),
+    "infinite_lr0": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--lr0", "inf"]),
+    "infinite_l2": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--l2", "inf"]),
+    "infinite_min_lr": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--min-lr", "inf"]),
     "bench_input_length_1": (2, lambda d, t: [
         "bench", "--weights", str(t / "missing"), "--input-length", "1"]),
     "infinite_sample_rate": (2, lambda d, t: [
@@ -282,6 +288,9 @@ BAD_INPUTS = {
     "huge_weights": (1, lambda d, t: [
         "evaluate", "--data", str(d), "--outdir", str(t / "o"),
         "--weights", str(_weights(t / "w", conv1_kernel=3e38))]),  # overflows float32
+    "repeated_weight_entry": (3, lambda d, t: [
+        "evaluate", "--data", str(d), "--outdir", str(t / "o"),
+        "--weights", str(repeat_weight_entry(_weights(t / "w"), "conv1.bias"))]),
     "bench_huge_n_samples": (2, lambda d, t: [
         "bench", "--weights", str(_weights(t / "w")), "--n-samples", str(10**30)]),
     "bench_huge_input_length": (2, lambda d, t: [

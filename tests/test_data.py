@@ -32,7 +32,7 @@ from papernet.metrics import evaluate_probs, report_to_json
 from papernet.model import build_papernet, forward
 from papernet.training import export_attention
 
-from conftest import write_csv
+from conftest import repeat_weight_entry, write_csv
 
 
 class TestLoadCsv:
@@ -309,6 +309,13 @@ class TestWeightFiles:
         with pytest.raises(WeightFormatError, match="checksum"):
             load_weights(path)
 
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "w"
+        save_weights(build_papernet(seed=6), path)
+        repeat_weight_entry(path, "conv1.bias")
+        with pytest.raises(WeightFormatError, match="'conv1.bias' listed twice"):
+            load_weights(path)
+
     def test_shape_mismatch_names_tensor(self, tmp_path):
         path = tmp_path / "w"
         save_weights(build_papernet(num_classes=4, seed=5), path)
@@ -430,9 +437,12 @@ class TestWeightHeader:
                 {"name": "a", "shape": [2], "offset": -4, "len": 8}]}).encode(), bytes(8)),
             (json.dumps({"version": 1, "variant": "full", "tensors": [
                 {"name": "a", "shape": [2], "offset": 4, "len": 8}]}).encode(), bytes(8)),
+            (json.dumps({"version": 1, "variant": "full", "tensors": [
+                {"name": "a", "shape": [2], "offset": 0, "len": 8},
+                {"name": "a", "shape": [1], "offset": 0, "len": 4}]}).encode(), bytes(8)),
         ],
         ids=["no_tensors", "not_utf8", "not_object", "shape_vs_len", "negative_offset",
-             "past_end"],
+             "past_end", "repeated_name"],
     )
     def test_bad_header_is_format_error(self, tmp_path, header, body):
         path = tmp_path / "w"

@@ -5,7 +5,7 @@ import pytest
 
 from papernet import layers
 from papernet.errors import ShapeError
-from papernet.tensor import ComputationTape, Tensor
+from papernet.tensor import ComputationTape, Tensor, gradcheck
 
 
 def t(data, dtype=np.float64):
@@ -29,20 +29,67 @@ def test_unbatched_input_rejected(layer):
         layer(t(np.zeros((6, 2))))
 
 
+def _se(residual):
+    def layer(x):
+        weights = t(np.ones((3, 2))), t(np.ones(2)), t(np.ones((2, 3))), t(np.ones(3))
+        return layers.se_residual_attention(x, *weights, residual=residual)[0]
+
+    return layer
+
+
 @pytest.mark.parametrize(
     "layer, name",
     [
         (lambda x: layers.bilstm(x, *[t(np.zeros((8, 5))), t(np.zeros(8))] * 2), "bilstm"),
         (lambda x: layers.batchnorm(x, *[t(np.ones(3))] * 4, mode="train"), "batchnorm"),
         (lambda x: layers.batchnorm(x, *[t(np.ones(3))] * 4, mode="infer"), "batchnorm"),
+        (_se(residual=True), "se_residual_attention"),
+        (_se(residual=False), "se_residual_attention"),
+        # dense acts on [B, F]: the first time step of x
+        (lambda x: layers.dense(Tensor(x.data[:, 0], requires_grad=True), t(np.ones((3, 5))),
+                                t(np.ones(5))), "dense"),
+        (lambda x: layers.dropout(x, 0.5, "train", np.random.default_rng(0)), "dropout"),
     ],
-    ids=["bilstm", "batchnorm_train", "batchnorm_infer"],
+    ids=["bilstm", "batchnorm_train", "batchnorm_infer", "se_residual", "se_no_residual",
+         "dense", "dropout_train"],
 )
 def test_fused_layer_records_one_tape_node(layer, name):
     x = Tensor(np.ones((2, 4, 3)), requires_grad=True)
     with ComputationTape() as tape:
         layer(x)
     assert [node.name for node in tape.nodes] == [name]
+
+
+class TestFusedRuleGradcheck:
+    """The hand-written rules at ten random float64 points each."""
+
+    def _se_rule(residual):
+        return lambda rng: (
+            lambda *a: layers.se_residual_attention(*a, residual=residual)[0],
+            [rng.normal(size=s) for s in ((2, 5, 6), (6, 3), (3,), (3, 6), (6,))],
+        )
+
+    RULES = {
+        "se_residual": _se_rule(True),
+        "se_no_residual": _se_rule(False),
+        "dense": lambda rng: (
+            layers.dense, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)]
+        ),
+        "dropout": lambda rng: (
+            # a fresh rng per call keeps the mask fixed across evaluations
+            lambda a: layers.dropout(a, 0.4, "train", np.random.default_rng(7)),
+            [rng.normal(size=(5, 6))],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_rule_at_ten_random_points(self, name):
+        for seed in range(10):
+            rng = np.random.default_rng([seed, len(name)])
+            fn, arrays = self.RULES[name](rng)
+            points = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+            err = gradcheck(fn, points, seed=seed)
+            assert err < 1e-5, f"{name} at seed {seed}: {err}"
 
 
 class TestConv1dSame:
@@ -218,6 +265,49 @@ class TestSeResidualAttention:
         with pytest.raises(ShapeError):
             layers.se_residual_attention(t(np.zeros((1, 4, 8))), *self._weights(c=6))
 
+    @pytest.mark.parametrize("arg, shape", [
+        (0, (8,)), (1, (4,)), (1, (3, 1)), (2, (4, 8)), (2, (3, 6)), (3, (1, 8)), (3, (6,)),
+    ], ids=["w1_1d", "b1_width", "b1_2d", "bottleneck", "w2_width", "b2_2d", "b2_width"])
+    def test_argument_shape_checked(self, arg, shape):
+        weights = list(self._weights())
+        weights[arg] = t(np.zeros(shape))
+        with pytest.raises(ShapeError, match="SE " + "w1 b1 w2 b2".split()[arg]):
+            layers.se_residual_attention(t(np.zeros((2, 4, 8))), *weights)
+
+    def test_attention_finite_at_extreme_preactivations(self):
+        w1, b1, w2, _ = self._weights()
+        b2 = t(np.array([-500.0, 500.0] * 4))
+        _, attn = layers.se_residual_attention(t(np.ones((1, 4, 8))), w1, b1, w2, b2)
+        np.testing.assert_array_equal(attn.data, [[0.0, 1.0] * 4])
+
+    def test_attention_is_outside_the_tape(self):
+        feats = Tensor(np.ones((2, 4, 8)), requires_grad=True)
+        with ComputationTape() as tape:
+            _, attn = layers.se_residual_attention(feats, *self._weights(fill=0.1))
+        assert not attn.requires_grad
+        assert len(tape.nodes) == 1 and tape.nodes[0].output is not attn
+
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_rule_by_hand(self, residual):
+        # B=1, T=2, C=1, H=1: desc = mean(F) = 2, z1 = 0.5 * 2 + 0.25 = 1.25
+        # (ReLU active), z2 = 2 * 1.25 - 1.5 = 1, a = sigmoid(1), out = F * a (+ F)
+        feats = Tensor(np.array([[[1.0], [3.0]]]), requires_grad=True)
+        with ComputationTape() as tape:
+            layers.se_residual_attention(
+                feats, t([[0.5]]), t([0.25]), t([[2.0]]), t([-1.5]), residual=residual
+            )
+        g = np.array([[[2.0], [1.0]]])
+        d_feats, d_w1, d_b1, d_w2, d_b2 = tape.nodes[0].rule(g)
+        a = 1.0 / (1.0 + np.exp(-1.0))
+        d_z2 = (2.0 * 1.0 + 1.0 * 3.0) * a * (1.0 - a)  # sum_t g * F through the sigmoid
+        d_desc = d_z2 * 2.0 * 0.5  # back through w2, the active ReLU and w1
+        # skip term, scale term, then the descriptor term spread over T = 2
+        np.testing.assert_allclose(d_feats, g * (a + residual) + d_desc / 2.0, rtol=1e-14)
+        np.testing.assert_allclose(d_b2, [d_z2], rtol=1e-14)
+        np.testing.assert_allclose(d_w2, [[1.25 * d_z2]], rtol=1e-14)
+        np.testing.assert_allclose(d_b1, [2.0 * d_z2], rtol=1e-14)
+        np.testing.assert_allclose(d_w1, [[2.0 * 2.0 * d_z2]], rtol=1e-14)
+
 
 class TestBiLstm:
     def test_zero_weights_give_zero_output(self):
@@ -329,6 +419,36 @@ class TestDropout:
     def test_train_requires_rng(self):
         with pytest.raises(ValueError):
             layers.dropout(t(np.ones(3)), p=0.5, mode="train")
+
+
+class TestDense:
+    def _zero(self, n):
+        return Tensor(np.zeros(n))
+
+    def test_identity(self):
+        a = [[1.0, 2.0], [3.0, 4.0]]
+        out = layers.dense(Tensor(np.eye(2)), Tensor(a), self._zero(2))
+        np.testing.assert_array_equal(out.data, a)
+
+    def test_zero(self):
+        out = layers.dense(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]), Tensor([0.5]))
+        np.testing.assert_array_equal(out.data, [[0.5]])
+
+    def test_hand_oracle(self):
+        # [[1,2],[3,4]] @ [[5],[6]] + 1 tallied by hand: [1*5+2*6+1, 3*5+4*6+1]
+        out = layers.dense(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]), Tensor([1.0]))
+        np.testing.assert_array_equal(out.data, [[18.0], [40.0]])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="inner"):
+            layers.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), self._zero(3))
+        with pytest.raises(ShapeError, match="2-D"):
+            layers.dense(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((1, 3))), self._zero(3))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), ()])
+    def test_bias_shape_checked(self, shape):
+        with pytest.raises(ShapeError, match="bias"):
+            layers.dense(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
 
 
 class TestPooling:

@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from papernet.errors import NonFiniteError, ShapeError, TapeError
+from papernet.layers import dense
 from papernet.tensor import (
     ComputationTape,
     Tensor,
-    add,
     backward,
     gradcheck,
-    matmul,
-    mul,
     reduce_max,
     reduce_mean,
-    reduce_sum,
     relu,
-    reshape,
-    sigmoid,
     softmax_lastaxis,
 )
 
@@ -44,26 +39,6 @@ class TestTensorBasics:
             x.accumulate_grad(np.zeros((3,)))
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        out = matmul(Tensor(np.eye(2)), Tensor(a))
-        np.testing.assert_array_equal(out.data, a)
-
-    def test_zero(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]))
-        np.testing.assert_array_equal(out.data, [[0.0]])
-
-    def test_hand_oracle(self):
-        # [[1,2],[3,4]] @ [[5],[6]] tallied by hand: [1*5+2*6, 3*5+4*6]
-        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
-        np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-
 class TestActivations:
     def test_relu_definition(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
@@ -73,13 +48,6 @@ class TestActivations:
     def test_softmax_symmetry(self, c):
         out = softmax_lastaxis(Tensor([c, c, c, c]))
         np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-7)
-
-    def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
-
-    def test_sigmoid_stable_at_extremes(self):
-        out = sigmoid(Tensor([-500.0, 500.0], dtype=np.float64))
-        assert np.all(np.isfinite(out.data))
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -106,30 +74,37 @@ class TestReductions:
         assert out.data == 9.0
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
 
-    def test_sum_empty_axis_errors(self):
+    def test_mean_empty_axis_errors(self):
         with pytest.raises(ShapeError):
-            reduce_sum(Tensor(np.zeros((0,))), axis=0)
+            reduce_mean(Tensor(np.zeros((0,))), axis=0)
+
+
+def dense_sum(x):
+    """Sum of a [1, n] row as one dense node: x @ ones + 0, shape [1, 1]."""
+    n = x.shape[1]
+    return dense(x, t64(np.ones((n, 1))), t64([0.0]))
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        x = t64([1.0, 2.0, 3.0], requires_grad=True)
+        x = t64([[1.0, 2.0, 3.0]], requires_grad=True)
         with ComputationTape() as tape:
-            loss = reduce_sum(x)
+            loss = dense_sum(x)
             backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0]])
 
     def test_square_sum_analytic(self):
-        x = t64([1.0, 2.0], requires_grad=True)
+        # x as both the input and the weight of one dense node: loss = x^2
+        x = t64([[3.0]], requires_grad=True)
         with ComputationTape() as tape:
-            loss = reduce_sum(mul(x, x))
+            loss = dense(x, x, t64([0.0]))
             backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        np.testing.assert_array_equal(x.grad, [[6.0]])
 
     def test_double_backward_raises(self):
         x = t64([1.0], requires_grad=True)
         with ComputationTape() as tape:
-            loss = reduce_sum(x)
+            loss = reduce_mean(x)
             backward(tape, loss)
             with pytest.raises(TapeError):
                 backward(tape, loss)
@@ -137,7 +112,7 @@ class TestBackward:
     def test_loss_must_be_scalar(self):
         x = t64([1.0, 2.0], requires_grad=True)
         with ComputationTape() as tape:
-            y = mul(x, x)
+            y = relu(x)
             with pytest.raises(ShapeError):
                 backward(tape, y)
 
@@ -148,48 +123,47 @@ class TestBackward:
                 backward(tape, x)
 
     def test_reuse_accumulates_within_one_pass(self):
-        # x used twice: d/dx (x*x + x) = 2x + 1
-        x = t64([3.0], requires_grad=True)
+        # one weight in two dense calls: loss = x W W u with u = ones, so
+        # dW = x^T (W u)^T + (x W)^T u^T, one term from each node
+        x = t64([[1.0, 2.0]])
+        w = t64([[1.0, -1.0], [2.0, 3.0]], requires_grad=True)
+        zero = t64([0.0, 0.0])
         with ComputationTape() as tape:
-            loss = reduce_sum(add(mul(x, x), x))
+            loss = dense_sum(dense(dense(x, w, zero), w, zero))
             backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, [7.0])
+        assert [node.name for node in tape.nodes] == ["dense"] * 3
+        u = np.ones((2, 1))
+        expected = x.data.T @ (w.data @ u).T + (x.data @ w.data).T @ u.T
+        np.testing.assert_array_equal(w.grad, expected)
 
     def test_overflow_raises_non_finite(self):
-        big = Tensor(np.array([3e38], dtype=np.float32))
+        big = Tensor(np.array([[3e38]], dtype=np.float32))
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError):
-                mul(big, big)
+                dense(big, big, Tensor(np.zeros(1, dtype=np.float32)))
 
 
 class TestGradcheck:
     def test_linear_op_is_exact(self):
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
+        b = Tensor(rng.normal(size=3), dtype=np.float64)
         point = Tensor(rng.normal(size=(2, 4)), requires_grad=True, dtype=np.float64)
-        err = gradcheck(lambda x: matmul(x, w), point)
+        err = gradcheck(lambda x: dense(x, w, b), point)
         assert err < 1e-10
 
-    def test_sigmoid_at_point(self):
-        err = gradcheck(sigmoid, t64([0.3], requires_grad=True))
+    def test_softmax_at_point(self):
+        err = gradcheck(softmax_lastaxis, t64([0.3, -0.2], requires_grad=True))
         assert err < 1e-7
 
     def test_requires_float64(self):
         with pytest.raises(ShapeError):
-            gradcheck(sigmoid, Tensor([0.3], dtype=np.float32))
+            gradcheck(relu, Tensor([0.3], dtype=np.float32))
 
     OPS = {
-        "add_broadcast": lambda rng: (lambda a, b: add(a, b),
-                                      [rng.normal(size=(3, 4)), rng.normal(size=(4,))]),
-        "mul_broadcast": lambda rng: (lambda a, b: mul(a, b),
-                                      [rng.normal(size=(2, 1, 3)), rng.normal(size=(4, 3))]),
-        "matmul": lambda rng: (matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
-        "reshape": lambda rng: (lambda a: reshape(a, (6,)), [rng.normal(size=(2, 3))]),
         "relu": lambda rng: (relu,
                              [np.sign(rng.normal(size=(4, 3))) * rng.uniform(0.1, 1.0, size=(4, 3))]),
-        "sigmoid": lambda rng: (sigmoid, [rng.normal(size=(3, 3))]),
         "softmax": lambda rng: (softmax_lastaxis, [rng.normal(size=(3, 5))]),
-        "reduce_sum": lambda rng: (lambda a: reduce_sum(a, axis=0), [rng.normal(size=(3, 4))]),
         "reduce_mean": lambda rng: (lambda a: reduce_mean(a, axis=(0, 2)),
                                     [rng.normal(size=(2, 3, 4))]),
         "reduce_max": lambda rng: (lambda a: reduce_max(a, axis=1), [rng.normal(size=(3, 5))]),
@@ -208,17 +182,17 @@ class TestGradcheck:
 class TestTapeScoping:
     def test_no_recording_without_tape(self):
         x = Tensor([1.0], requires_grad=True)
-        y = mul(x, x)
+        y = relu(x)
         assert y.requires_grad
         tape = ComputationTape()
         assert tape.nodes == []
 
     def test_nested_tapes_record_to_innermost(self):
-        x = t64([2.0], requires_grad=True)
+        x = t64([[2.0]], requires_grad=True)
         with ComputationTape() as outer:
             with ComputationTape() as inner:
-                loss = reduce_sum(mul(x, x))
+                loss = reduce_mean(dense(x, x, t64([0.0])))
             assert len(inner.nodes) == 2
             assert len(outer.nodes) == 0
         backward(inner, loss)
-        np.testing.assert_array_equal(x.grad, [4.0])
+        np.testing.assert_array_equal(x.grad, [[4.0]])

@@ -6,7 +6,7 @@ import pytest
 import papernet.training as training_mod
 from papernet.data import stratified_split
 from papernet.errors import ConfigError, TrainingError
-from papernet.model import build_papernet
+from papernet.model import build_papernet, forward
 from papernet.tensor import ComputationTape, Tensor, backward, softmax_lastaxis
 from papernet.training import (
     AdamState,
@@ -93,6 +93,21 @@ class TestWeightedCrossEntropy:
         with ComputationTape() as tape:
             weighted_cross_entropy(probs, np.eye(4), [1.0, 2.0, 1.0, 0.5], model, l2)
         assert [node.name for node in tape.nodes] == ["weighted_cross_entropy"]
+
+
+def test_b64_train_step_records_nineteen_tape_nodes():
+    model = build_papernet(seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((64, 16, 1)).astype(np.float32)
+    with ComputationTape() as tape:
+        probs = forward(model, x, mode="train", rng=rng)
+        backward(tape, weighted_cross_entropy(probs, np.eye(4)[np.arange(64) % 4], None,
+                                              model, 1e-4))
+    block = ["conv1d_same", "relu", "batchnorm"]
+    assert [node.name for node in tape.nodes] == [
+        *block, *block, "maxpool1d", *block, "se_residual_attention", "bilstm", "reduce_max",
+        "dense", "relu", "dropout", "dense", "softmax_lastaxis", "weighted_cross_entropy",
+    ]
 
 
 class TestAdam:
