@@ -65,7 +65,9 @@ def _field_types() -> dict[str, tuple[type, ...]]:
     return {name: typing.get_args(hint) or (hint,) for name, hint in hints.items()}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def _given_values(args: argparse.Namespace) -> dict:
+    """The config file's keys, overridden by every flag given on the command
+    line; keys set by neither are absent."""
     names = _field_types()
     values = {}
     if args.config:
@@ -83,9 +85,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
     values.update({n: getattr(args, n) for n in names if getattr(args, n) is not None})
-    config = RunConfig(**values)
-    config.validate()
-    return config
+    return values
 
 
 @dataclass
@@ -142,30 +142,53 @@ def prepare_dataset(config: RunConfig) -> PreparedData:
     )
 
 
-def _begin_run(args, prepare):
+def _begin_run(args, prepare, weights=None):
     """Resolve the config, check the dataset path before anything is
     written, write ``config_resolved.json``, and run ``prepare`` on the
-    config. Returns (config, outdir, prepared)."""
-    config = resolve_config(args)
+    config. Returns (config, outdir, prepared, model).
+
+    With ``weights``, ``model`` is loaded from that file and its stored
+    variant is the configured one unless ``--variant`` or the config key
+    sets it; a variant set to another value, or a head width other than
+    the dataset's class count, is a WeightFormatError. Without, ``model``
+    is None."""
+    given = _given_values(args)
+    config = RunConfig(**given)
+    config.validate()
     if not config.data:
         raise ConfigError("no dataset path configured (set --data or the config key)")
     if not Path(config.data).exists():
         raise ConfigError(f"dataset path does not exist: {config.data}")
+    model = None
+    if weights is not None:
+        model = data.load_weights(weights)
+        if "variant" not in given:
+            config = dataclasses.replace(config, variant=model.variant)
+        elif config.variant != model.variant:
+            raise WeightFormatError(
+                f"{weights}: variant mismatch: file {model.variant!r}, "
+                f"configured {config.variant!r}"
+            )
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     data.write_json(outdir / "config_resolved.json", dataclasses.asdict(config))
-    return config, outdir, prepare(config)
+    prepared = prepare(config)
+    if model is not None and model.num_classes != prepared.num_classes:
+        raise WeightFormatError(
+            f"{weights}: the stored head has {model.num_classes} classes, "
+            f"the dataset {prepared.num_classes}"
+        )
+    return config, outdir, prepared, model
 
 
-def _build_model(prepared: PreparedData, config: RunConfig, variant=None, weights=None):
-    """A model sized for ``prepared``; ``weights``, when given, are loaded."""
-    model = build_papernet(
+def _build_model(prepared: PreparedData, config: RunConfig, variant=None):
+    """A freshly initialised model sized for ``prepared``."""
+    return build_papernet(
         num_classes=prepared.num_classes,
         input_length=prepared.features.shape[1],
         variant=variant or config.variant,
         seed=config.seed,
     )
-    return model if weights is None else data.load_weights(weights, model)
 
 
 def _evaluate_split(model, prepared: PreparedData, indices, config: RunConfig, outdir=None):
@@ -197,7 +220,7 @@ def _export_attention_csv(model, prepared: PreparedData, indices, outdir: Path) 
 
 
 def cmd_train(args) -> int:
-    config, outdir, prepared = _begin_run(args, prepare_dataset)
+    config, outdir, prepared, _ = _begin_run(args, prepare_dataset)
     model = _build_model(prepared, config)
     print(
         f"training variant={config.variant} seed={config.seed} "
@@ -219,21 +242,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, outdir, prepared = _begin_run(args, prepare_dataset)
+    config, outdir, prepared, model = _begin_run(args, prepare_dataset, args.weights)
     indices = {
         "train": prepared.splits.train,
         "val": prepared.splits.val,
         "test": prepared.splits.test,
         "all": np.arange(len(prepared.labels)),
     }[args.split]
-    model = _build_model(prepared, config, weights=args.weights)
     report = _evaluate_split(model, prepared, indices, config, outdir)
     print(f"{args.split}: {_summary(report)}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    config, outdir, prepared = _begin_run(args, prepare_dataset)
+    config, outdir, prepared, _ = _begin_run(args, prepare_dataset)
     print(f"ablation over {VARIANTS} with split hash {prepared.splits.hash()}")
     rows = []
     for variant in VARIANTS:
@@ -303,8 +325,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
-    config, outdir, prepared = _begin_run(args, prepare_dataset)
-    model = _build_model(prepared, config, weights=args.weights)
+    _, outdir, prepared, model = _begin_run(args, prepare_dataset, args.weights)
     indices = prepared.splits.test if args.split == "test" else np.arange(len(prepared.labels))
     _export_attention_csv(model, prepared, indices, outdir)
     print(f"wrote attention weights for {len(indices)} samples to {outdir / 'attention.csv'}")
@@ -312,7 +333,7 @@ def cmd_export_attention(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    _, outdir, (raw, filtered) = _begin_run(args, _load_filtered)
+    _, outdir, (raw, filtered), _ = _begin_run(args, _load_filtered)
     out_path = outdir / "filtered.csv"
     data.write_csv(
         out_path,

@@ -5,13 +5,20 @@ through.
 Weight files: magic "PNW1", an 8-byte little-endian header length, a UTF-8
 JSON header {"version": 1, "variant": ..., "tensors": [{"name", "shape",
 "offset", "len"}, ...]}, the raw little-endian float32 tensor data packed
-contiguously in header order, and a trailing 8-byte CRC-64 of everything
+contiguously in header order, and a trailing 8-byte CRC-64/XZ of everything
 before it.
+
+The CRC is computed in numpy: the bytes are cut into 4096 equal lanes
+(after a short prefix run byte by byte) that take the table step together,
+one numpy step per byte column, and the lane registers are then folded
+pairwise with cached "append n zero bytes" operators. The value is the
+plain byte-at-a-time CRC-64/XZ.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -255,25 +262,94 @@ def attention_to_csv(path, per_sample: np.ndarray, mean: np.ndarray) -> None:
 
 
 _CRC64_POLY = 0xC96C5795D7870F42  # CRC-64/XZ, reflected
-_CRC64_TABLE: list[int] = []
+_CRC64_MASK = 0xFFFFFFFFFFFFFFFF
+_CRC64_LANES = 4096  # a power of two, so the lanes fold in log2 levels
+_CRC64_MIN_LANE = 16  # bytes per lane; shorter inputs take the scalar loop and cache no operators
 
 
-def _crc64_table() -> list[int]:
-    if not _CRC64_TABLE:
-        for byte in range(256):
-            crc = byte
-            for _ in range(8):
-                crc = (crc >> 1) ^ _CRC64_POLY if crc & 1 else crc >> 1
-            _CRC64_TABLE.append(crc)
-    return _CRC64_TABLE
+@functools.cache
+def _crc64_tables() -> tuple[list[int], np.ndarray]:
+    """The byte-step table of the reflected CRC-64/XZ register, as a list
+    for the scalar loop and as a uint64 array for the lanes. Built on first
+    use, not at import."""
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ _CRC64_POLY if crc & 1 else crc >> 1
+        table.append(crc)
+    return table, np.array(table, dtype=np.uint64)
 
 
-def crc64(data: bytes) -> int:
-    table = _crc64_table()
-    crc = 0xFFFFFFFFFFFFFFFF
+def _crc64_scalar(crc: int, data) -> int:
+    """Run the raw register ``crc`` over ``data`` one byte at a time."""
+    table = _crc64_tables()[0]
     for byte in data:
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+    return crc
+
+
+def _apply_shift(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``op`` (an [8, 256] operator from :func:`_zero_shift`) applied to
+    each uint64 register in ``states``. Built from the take, shift and XOR
+    calls the lane step already makes, because each numpy loop a process
+    runs for the first time maps about 64 KB more of numpy's code."""
+    out = np.zeros_like(states)
+    octet = np.empty(states.shape, dtype=np.uint8)
+    for k in range(8):
+        np.copyto(octet, np.right_shift(states, 8 * k), casting="unsafe")
+        np.bitwise_xor(out, np.take(op[k], octet), out=out)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_shift(span: int) -> np.ndarray:
+    """The GF(2)-linear map that feeds ``span`` zero bytes through a raw
+    register, as 8 x 256 uint64 tables: the new register is the XOR over k
+    of ``op[k][byte k of the old register]``. The operator for 2n is the
+    square of the one for n (zlib's ``crc32_combine``)."""
+    if span == 1:  # one table step from each register b << 8k
+        table = _crc64_tables()[0]
+        rows = [[b << 8 * k for b in range(256)] for k in range(8)]
+        return np.array([[table[r & 0xFF] ^ (r >> 8) for r in row] for row in rows], dtype=np.uint64)
+    half = _zero_shift(span // 2)
+    op = _apply_shift(half, half)
+    return _apply_shift(_zero_shift(1), op) if span % 2 else op
+
+
+def crc64(data) -> int:
+    """CRC-64/XZ of a bytes-like object.
+
+    Inputs of at least 16 bytes per lane are cut into a prefix of fewer
+    than ``_CRC64_LANES`` bytes, run by the scalar table loop, and that many
+    equal lanes, which all take the same table step at once, one numpy step
+    per byte column; lane 0 starts from the prefix's register, the rest
+    from 0. Neighbouring lane registers then fold pairwise, the left one
+    shifted over the right one's span of zero bytes, with the span doubling
+    at each level. The value is that of the byte-at-a-time loop.
+    """
+    view = memoryview(data).cast("B")
+    lane_len = len(view) // _CRC64_LANES
+    if lane_len < _CRC64_MIN_LANE:
+        return _crc64_scalar(_CRC64_MASK, view) ^ _CRC64_MASK
+    prefix = len(view) - _CRC64_LANES * lane_len
+    table = _crc64_tables()[1]
+    lanes = np.frombuffer(view, dtype=np.uint8, offset=prefix).reshape(_CRC64_LANES, lane_len)
+    states = np.zeros(_CRC64_LANES, dtype=np.uint64)
+    states[0] = _crc64_scalar(_CRC64_MASK, view[:prefix])
+    index = np.empty(_CRC64_LANES, dtype=np.uint8)
+    step = np.empty(_CRC64_LANES, dtype=np.uint64)
+    for j in range(lane_len):
+        np.bitwise_xor(states, lanes[:, j], out=states)
+        np.copyto(index, states, casting="unsafe")  # the low byte of each register
+        np.take(table, index, out=step)
+        np.right_shift(states, 8, out=states)
+        np.bitwise_xor(states, step, out=states)
+    span = lane_len
+    while len(states) > 1:
+        states = np.bitwise_xor(_apply_shift(_zero_shift(span), states[0::2]), states[1::2])
+        span *= 2
+    return int(states[0]) ^ _CRC64_MASK
 
 
 def save_weights(model: ModelGraph, path) -> None:
@@ -306,7 +382,8 @@ def _parse_weight_file(path):
     if blob[:4] != WEIGHT_MAGIC:
         raise WeightFormatError(f"{path}: bad magic {blob[:4]!r}")
     stored = struct.unpack("<Q", blob[-8:])[0]
-    if crc64(blob[:-8]) != stored:
+    body = memoryview(blob)[:-8]  # no copy of the tensor data
+    if crc64(body) != stored:
         raise WeightFormatError(f"{path}: checksum mismatch (file corrupt or truncated)")
     header_len = struct.unpack("<Q", blob[4:12])[0]
     header_end = 12 + header_len
@@ -320,7 +397,7 @@ def _parse_weight_file(path):
         raise WeightFormatError(f"{path}: not a version {WEIGHT_VERSION} header object")
     if not isinstance(header.get("variant"), str) or not isinstance(header.get("tensors"), list):
         raise WeightFormatError(f"{path}: header needs a variant string and a tensors list")
-    data = blob[header_end:-8]
+    data = body[header_end:]
     tensors = {}
     for entry in header["tensors"]:
         if not (
@@ -350,7 +427,8 @@ def _is_count(value) -> bool:
 
 def load_weights(path, model: ModelGraph | None = None,
                  input_length: int = NUM_CHANNELS) -> ModelGraph:
-    """Restore parameters from a weight file.
+    """Restore parameters from a weight file, copied into the model's
+    existing arrays.
 
     With ``model``, the file must match it tensor for tensor (the first
     offending name is reported). Without one, a fresh graph is built from
@@ -389,5 +467,5 @@ def load_weights(path, model: ModelGraph | None = None,
         stored = tensors[name]
         if not np.all(np.isfinite(stored)):
             raise WeightFormatError(f"{path}: non-finite values in tensor {name!r}")
-        param.data = stored.astype(model.dtype)
+        np.copyto(param.data, stored)
     return model

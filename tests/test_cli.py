@@ -110,6 +110,25 @@ class TestEvaluateCommand:
         assert (eval_dir / "report.json").exists()
         assert "accuracy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, variant", [
+        ("evaluate", "no_attention"), ("export-attention", "no_lstm")])
+    def test_variant_taken_from_weight_file(self, synthetic_csv, tmp_path, command, variant):
+        weights = tmp_path / "w"
+        save_weights(build_papernet(variant=variant, seed=3), weights)
+        outdir = tmp_path / "o"
+        assert run([command, "--data", str(synthetic_csv), "--outdir", str(outdir),
+                    "--weights", str(weights), "--split", "all"]) == 0
+        resolved = json.loads((outdir / "config_resolved.json").read_text())
+        assert resolved["variant"] == variant
+        if command == "evaluate":
+            assert json.loads((outdir / "report.json").read_text())["variant"] == variant
+
+    def test_matching_explicit_variant_accepted(self, synthetic_csv, tmp_path):
+        weights = tmp_path / "w"
+        save_weights(build_papernet(variant="no_residual", seed=3), weights)
+        assert run(["evaluate", "--data", str(synthetic_csv), "--outdir", str(tmp_path / "o"),
+                    "--weights", str(weights), "--variant", "no_residual"]) == 0
+
 
 class TestAblateCommand:
     def test_four_variants_one_table(self, synthetic_csv, tmp_path):
@@ -226,9 +245,15 @@ def _bytes_csv(path, blob):
     return path
 
 
-def _weights(path, conv1_kernel=None):
-    """A valid weight file; ``conv1_kernel`` fills the first conv kernel."""
-    model = build_papernet(seed=0)
+def _json(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _weights(path, conv1_kernel=None, **build):
+    """A valid weight file of ``build_papernet(seed=0, **build)``;
+    ``conv1_kernel`` fills the first conv kernel."""
+    model = build_papernet(seed=0, **build)
     if conv1_kernel is not None:
         model.params["conv1.kernel"].data[...] = conv1_kernel
     save_weights(model, path)
@@ -291,6 +316,15 @@ BAD_INPUTS = {
     "repeated_weight_entry": (3, lambda d, t: [
         "evaluate", "--data", str(d), "--outdir", str(t / "o"),
         "--weights", str(repeat_weight_entry(_weights(t / "w"), "conv1.bias"))]),
+    "variant_flag_disagrees_with_weights": (3, lambda d, t: [
+        "evaluate", "--data", str(d), "--outdir", str(t / "o"), "--variant", "full",
+        "--weights", str(_weights(t / "w", variant="no_residual"))]),
+    "variant_key_disagrees_with_weights": (3, lambda d, t: [
+        "export-attention", "--config", str(_json(t / "c.json", {"variant": "no_lstm"})),
+        "--data", str(d), "--outdir", str(t / "o"), "--weights", str(_weights(t / "w"))]),
+    "head_width_disagrees_with_data": (3, lambda d, t: [
+        "evaluate", "--data", str(d), "--outdir", str(t / "o"),
+        "--weights", str(_weights(t / "w", num_classes=3))]),
     "bench_huge_n_samples": (2, lambda d, t: [
         "bench", "--weights", str(_weights(t / "w")), "--n-samples", str(10**30)]),
     "bench_huge_input_length": (2, lambda d, t: [

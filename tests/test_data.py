@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import json
 import os
 import struct
@@ -234,6 +235,40 @@ class TestAbsentClasses:
         assert absent_classes(labels, k) == expected
 
 
+def _reference_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xC96C5795D7870F42 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_REFERENCE_TABLE = _reference_table()
+
+
+def crc64_reference(blob: bytes) -> int:
+    """CRC-64/XZ one byte at a time in plain Python: the oracle for the
+    lane-parallel ``crc64``."""
+    crc = 0xFFFFFFFFFFFFFFFF
+    for byte in blob:
+        crc = _REFERENCE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+LANES = data._CRC64_LANES
+
+# save_weights output for build_papernet(variant=v, seed=9), pinned from
+# the byte-at-a-time CRC implementation
+PINNED_WEIGHT_SHA256 = {
+    "full": "1a545971e326490a5189c4b9104b454f1298ab1318f4f5c93b8001fc0133910b",
+    "no_attention": "af2efff4d8a5032a8c52a6410176ffcae441dd68c1b3a9844889fe11e49f47ae",
+    "no_lstm": "ec124c97fc4e62322758bebda0eac00f1955a73469c795e24e3e73feeb6f638c",
+    "no_residual": "14fd3d0cc6c549aa39c94f25a30ee11372c062e8ec62d94a101265b8efb79094",
+}
+
+
 class TestCrc64:
     def test_known_check_value(self):
         # CRC-64/XZ check value for the nine ASCII digits
@@ -241,6 +276,60 @@ class TestCrc64:
 
     def test_empty_input(self):
         assert crc64(b"") == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.binary(max_size=5000))
+    def test_matches_reference_on_random_bytes(self, blob):
+        assert crc64(blob) == crc64_reference(blob)
+
+    @pytest.mark.parametrize(
+        "length",
+        [LANES * 16 - 1, LANES * 16, LANES * 16 + 1, LANES * 17 + LANES - 1, LANES * 40 + 7],
+        ids=["below_lanes", "lanes_no_prefix", "prefix_1", "prefix_lanes_minus_1", "40_per_lane"],
+    )
+    def test_matches_reference_around_lane_thresholds(self, length):
+        blob = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+        assert crc64(blob) == crc64_reference(blob)
+
+    def test_repeated_pattern(self):
+        blob = b"123456789" * 4096
+        assert crc64(blob) == crc64_reference(blob)
+
+    @pytest.mark.parametrize("length", [1000, LANES * 16 + 3])
+    def test_bytes_bytearray_memoryview_agree(self, length):
+        blob = np.random.default_rng(7).integers(0, 256, length + 5, dtype=np.uint8).tobytes()
+        values = {
+            crc64(blob[5:]),
+            crc64(bytearray(blob[5:])),
+            crc64(memoryview(blob)[5:]),
+        }
+        assert values == {crc64_reference(blob[5:])}
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_WEIGHT_SHA256))
+    def test_saved_weight_files_match_reference(self, tmp_path, variant):
+        path = tmp_path / "w"
+        save_weights(build_papernet(variant=variant, seed=9), path)
+        blob = path.read_bytes()
+        assert struct.unpack("<Q", blob[-8:])[0] == crc64_reference(blob[:-8])
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_WEIGHT_SHA256))
+    def test_saved_weight_files_are_byte_identical(self, tmp_path, variant):
+        path = tmp_path / "w"
+        save_weights(build_papernet(variant=variant, seed=9), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_WEIGHT_SHA256[variant]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_flipped_tensor_bit_fails_checksum(self, tmp_path, where):
+        path = tmp_path / "w"
+        save_weights(build_papernet(seed=4), path)
+        blob = bytearray(path.read_bytes())
+        data_start = 12 + struct.unpack("<Q", blob[4:12])[0]
+        at = {"first": data_start, "middle": (data_start + len(blob)) // 2,
+              "last": len(blob) - 9}[where]
+        blob[at] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError, match="checksum mismatch"):
+            load_weights(path)
 
 
 class TestWeightFiles:
