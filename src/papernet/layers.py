@@ -8,6 +8,14 @@ hand and covered by the gradient checks: convolution, max pooling, batch
 norm, the squeeze-and-excitation block, the BiLSTM (both directions in one
 node, with backpropagation through time in numpy), dropout and dense. The
 global pools are one reduction each from :mod:`papernet.tensor`.
+
+State only a backward pass reads is built only when a tape will record the
+call (:func:`papernet.tensor._recording`): max pooling finds each window's
+first maximal step in the rule, batch norm outside a tape scales and
+shifts its normalized input in place instead of keeping ``x_hat``, and the
+BiLSTM keeps its gate activations and cell states only for a recorded
+call. In-place steps write only into arrays the layer allocated itself,
+never into an input, since another node's rule may read it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _make_output, reduce_max, reduce_mean
+from .tensor import Tensor, _make_output, _recording, reduce_max, reduce_mean
 
 MODES = ("train", "infer")
 
@@ -55,7 +63,9 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     patches = np.stack([xp[:, i : i + length, :] for i in range(k)], axis=2)
     flat = patches.reshape(batch * length, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
-    out = (flat @ w2d + bias.data).reshape(batch, length, c_out)
+    out = flat @ w2d
+    out += bias.data
+    out = out.reshape(batch, length, c_out)
 
     def rule(g):
         gb = g.reshape(batch * length, c_out)
@@ -74,6 +84,8 @@ def maxpool1d(x: Tensor, pool: int = 2) -> Tensor:
     """Per-channel maximum over non-overlapping windows of ``pool`` steps of
     a [B, T, C] tensor; a trailing window shorter than ``pool`` is dropped."""
     _require_btc(x, "maxpool1d")
+    if pool < 1:
+        raise ShapeError(f"pool must be >= 1, got {pool}")
     xd = x.data
     batch, length, channels = xd.shape
     if length < pool:
@@ -81,13 +93,18 @@ def maxpool1d(x: Tensor, pool: int = 2) -> Tensor:
     t_out = length // pool
     windows = xd[:, : t_out * pool, :].reshape(batch, t_out, pool, channels)
     out = windows.max(axis=2)
-    argmax = windows.argmax(axis=2)  # first index on ties
 
     def rule(g):
-        d_win = np.zeros_like(windows)
-        np.put_along_axis(d_win, argmax[:, :, None, :], g[:, :, None, :], axis=2)
+        # the first step equal to its window's max takes the gradient, as
+        # argmax would pick it on ties
         d_x = np.zeros_like(xd)
-        d_x[:, : t_out * pool, :] = d_win.reshape(batch, t_out * pool, channels)
+        d_win = d_x[:, : t_out * pool].reshape(windows.shape)  # a view
+        free = np.ones(out.shape, dtype=bool)
+        for i in range(pool):
+            hit = windows[:, :, i] == out
+            hit &= free
+            np.copyto(d_win[:, :, i], g, where=hit)
+            free &= ~hit
         return (d_x,)
 
     return _make_output(out, (x,), "maxpool1d", rule)
@@ -130,8 +147,16 @@ def batchnorm(
         centered = xd - running_mean.data
         var = running_var.data
     inv_std = (var + eps) ** -0.5
-    x_hat = centered * inv_std
-    out = x_hat * gamma.data + beta.data
+    if _recording((x, gamma, beta)):
+        x_hat = centered * inv_std
+        out = x_hat * gamma.data + beta.data
+    else:
+        # no rule will read x_hat: normalize, scale and shift the centred
+        # copy in place, in the same order as the recorded path
+        out = centered
+        out *= inv_std
+        out *= gamma.data
+        out += beta.data
 
     def rule(g):
         d_xhat = g * gamma.data
@@ -181,7 +206,9 @@ def se_residual_attention(
     # overflow-free sigmoid
     attn = 0.5 * np.tanh(0.5 * (h @ w2.data + b2.data)) + 0.5
     scale = attn[:, None, :]
-    out = fd * scale + fd if residual else fd * scale
+    out = fd * scale
+    if residual:
+        out += fd
 
     def rule(g):
         # gradient of the pre-sigmoid activations, then back through the
@@ -197,33 +224,47 @@ def se_residual_attention(
     return out, Tensor(attn)
 
 
-def _lstm_forward(x2d, weight, bias, out, reverse):
+def _lstm_forward(x2d, weight, bias, out, reverse, keep):
     """Run one direction over the [B*T, D] rows of a [B, T, D] input and
     write its hidden states into ``out`` ([B, T, H], a view of the bilstm
-    output). Returns the gate activations [B, T, 4H] and cell states
-    [B, T, H] of every step."""
+    output). With ``keep``, returns the gate activations [B, T, 4H] and cell
+    states [B, T, H] of every step for the backward pass; otherwise None."""
     batch, steps, hidden = out.shape
     width = x2d.shape[1]
     w_rec = weight[:, width:].T  # [H, 4H]
-    # one GEMM for the input projections of all steps; the buffer is
-    # overwritten step by step with the activations it produces
+    # one GEMM for the input projections of all steps; with ``keep`` the
+    # buffer is overwritten step by step with the activations it produces
     acts = x2d @ weight[:, :width].T
     acts += bias
     acts = acts.reshape(batch, steps, 4 * hidden)
-    cells = np.empty((batch, steps, hidden), dtype=acts.dtype)
+    cells = np.empty((batch, steps, hidden), dtype=acts.dtype) if keep else None
     # one tanh serves all four gates [i, f, g, o]: sigmoid(z) is the
     # overflow-free 0.5 * tanh(0.5 * z) + 0.5, and g is tanh(z) itself
     scale = np.full(4 * hidden, 0.5, dtype=acts.dtype)
     scale[2 * hidden : 3 * hidden] = 1.0
     shift = 1.0 - scale
-    h = np.zeros((batch, hidden), dtype=acts.dtype)
+    # step buffers, reused: gates, cell state and the input-times-gate term
+    a = np.empty((batch, 4 * hidden), dtype=acts.dtype)
     c = np.zeros((batch, hidden), dtype=acts.dtype)
+    ig = np.empty_like(c)
+    i, f, g, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    h = np.zeros_like(c)
     for t in range(steps - 1, -1, -1) if reverse else range(steps):
-        a = np.tanh((acts[:, t] + h @ w_rec) * scale) * scale + shift
-        c = a[:, hidden : 2 * hidden] * c + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
-        h = a[:, 3 * hidden :] * np.tanh(c)
-        acts[:, t], cells[:, t], out[:, t] = a, c, h
-    return acts, cells
+        np.matmul(h, w_rec, out=a)
+        a += acts[:, t]
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c *= f
+        c += np.multiply(i, g, out=ig)
+        # the hidden state is written into the output and read from there
+        h = out[:, t]
+        np.tanh(c, out=h)
+        h *= o
+        if keep:
+            acts[:, t], cells[:, t] = a, c
+    return (acts, cells) if keep else None
 
 
 def _lstm_backward(g_h, x2d, weight, h_seq, acts, cells, reverse):
@@ -294,8 +335,10 @@ def bilstm(
     out = np.empty((batch, steps, 2 * hidden), dtype=x.dtype)
     halves = (out[..., :hidden], out[..., hidden:])
     weights = (w_forward.data, w_backward.data)
+    inputs = (x, w_forward, b_forward, w_backward, b_backward)
+    keep = _recording(inputs)
     saved = [
-        _lstm_forward(x2d, weights[k], bias.data, halves[k], reverse=bool(k))
+        _lstm_forward(x2d, weights[k], bias.data, halves[k], reverse=bool(k), keep=keep)
         for k, bias in enumerate((b_forward, b_backward))
     ]
 
@@ -307,7 +350,7 @@ def bilstm(
         )
         return (dx_f + dx_b).reshape(x.shape), dw_f, db_f, dw_b, db_b
 
-    return _make_output(out, (x, w_forward, b_forward, w_backward, b_backward), "bilstm", rule)
+    return _make_output(out, inputs, "bilstm", rule)
 
 
 def dropout(x: Tensor, p: float, mode: str = "infer", rng=None) -> Tensor:

@@ -7,6 +7,12 @@ model calls between its layers live here: ``relu``, ``softmax_lastaxis``,
 ``reduce_mean`` and ``reduce_max``. Each layer in :mod:`papernet.layers`
 and the training loss record their one node through :func:`_make_output`
 with a hand-written rule.
+
+State that only a backward pass reads (a ReLU mask, a max's argmax) is
+computed inside the rule, and a layer that must keep such state from its
+forward asks :func:`_recording` first, so a forward outside a tape builds
+none of it. :func:`backward` drops each node's rule and inputs once it has
+used them, so a consumed tape no longer holds the step's intermediates.
 """
 
 from __future__ import annotations
@@ -131,13 +137,13 @@ def backward(tape: ComputationTape, loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         g_out = node.output.grad
-        if g_out is None:
-            continue
-        grads = node.rule(g_out)
-        for inp, g in zip(node.inputs, grads):
-            if g is None or not inp.requires_grad:
-                continue
-            inp.accumulate_grad(g)
+        if g_out is not None:
+            grads = node.rule(g_out)
+            for inp, g in zip(node.inputs, grads):
+                if g is not None and inp.requires_grad:
+                    inp.accumulate_grad(g)
+        # the rule's closure holds the node's saved state
+        node.rule, node.inputs = None, ()
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
@@ -147,12 +153,17 @@ def _check_finite(arr: np.ndarray, opname: str) -> None:
         raise NonFiniteError(f"non-finite values produced by {opname}")
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over ``inputs`` will be recorded: a tape is active and
+    some input requires grad. Only then is backward-only state needed."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _make_output(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule) -> Tensor:
     _check_finite(data, name)
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(name, inputs, out, rule)
+    if _recording(inputs):
+        _active_tape().record(name, inputs, out, rule)
     return out
 
 
@@ -162,10 +173,9 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule) ->
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
-    mask = a.data > 0
 
     def rule(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
     return _make_output(data, (a,), "relu", rule)
 
@@ -194,6 +204,9 @@ def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
         return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
+    for ax in axis:
+        if not -ndim <= ax < ndim:
+            raise ShapeError(f"axis {ax} out of range for a {ndim}-D tensor")
     return tuple(ax % ndim for ax in axis)
 
 
@@ -224,10 +237,10 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
     (ax,) = _normalize_axes(axis, a.ndim)
     _check_nonempty(a, (ax,), "max")
     data = a.data.max(axis=ax)
-    argmax = np.argmax(a.data, axis=ax)
 
     def rule(g):
         full = np.zeros(a.shape, dtype=g.dtype)
+        argmax = np.argmax(a.data, axis=ax)
         np.put_along_axis(
             full, np.expand_dims(argmax, ax), np.expand_dims(g, ax), axis=ax
         )

@@ -197,15 +197,15 @@ def infer_batches(model: ModelGraph, rows, return_attention: bool = False) -> np
     rows = np.asarray(rows, dtype=model.dtype)
     if rows.ndim == 2:
         rows = rows[:, :, None]
-    out = []
+    width = CONV_WIDTHS[-1] if return_attention else model.num_classes
+    out = np.empty((len(rows), width), dtype=model.dtype)
     # every op output is checked for NaN/Inf, so numpy's own warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(rows), INFER_BATCH):
             result = forward(model, rows[start : start + INFER_BATCH], mode="infer",
                              return_attention=return_attention)
-            out.append((result[1] if return_attention else result).data.copy())
-    width = CONV_WIDTHS[-1] if return_attention else model.num_classes
-    return np.concatenate(out, axis=0) if out else np.zeros((0, width), dtype=model.dtype)
+            out[start : start + INFER_BATCH] = (result[1] if return_attention else result).data
+    return out
 
 
 def predict_probs(model: ModelGraph, rows) -> np.ndarray:

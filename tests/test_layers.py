@@ -160,6 +160,28 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             layers.maxpool1d(t(np.zeros((1, 1, 3))))
 
+    @pytest.mark.parametrize("pool", [0, -1])
+    def test_pool_below_one_rejected(self, pool):
+        with pytest.raises(ShapeError, match="pool"):
+            layers.maxpool1d(t(np.zeros((1, 4, 3))), pool=pool)
+
+    def test_tied_maxima_send_gradient_to_first_index(self):
+        # windows of 3 steps; channel 0 ties in both windows, channel 1 in
+        # the second only; the 7th step is dropped
+        x = Tensor(
+            np.array([[[2.0, 1.0], [2.0, 5.0], [0.0, 3.0],
+                       [4.0, 6.0], [1.0, 0.0], [4.0, 6.0], [9.0, 9.0]]]),
+            requires_grad=True,
+        )
+        with ComputationTape() as tape:
+            out = layers.maxpool1d(x, pool=3)
+        np.testing.assert_array_equal(out.data, [[[2.0, 5.0], [4.0, 6.0]]])
+        (d_x,) = tape.nodes[0].rule(np.array([[[10.0, 20.0], [30.0, 40.0]]]))
+        expected = np.zeros((1, 7, 2))
+        expected[0, 0, 0], expected[0, 1, 1] = 10.0, 20.0
+        expected[0, 3, 0], expected[0, 3, 1] = 30.0, 40.0
+        np.testing.assert_array_equal(d_x, expected)
+
 
 class TestBatchNorm:
     def _params(self, c):
@@ -363,12 +385,18 @@ class TestBiLstm:
         x = rng.normal(size=(batch, steps, width))
         w_f, w_b = rng.normal(size=(2, 4 * hidden, width + hidden))
         b_f, b_b = rng.normal(size=(2, 4 * hidden))
-        out = layers.bilstm(t(x), t(w_f), t(b_f), t(w_b), t(b_b))
         expected = np.concatenate(
             [self._numpy_direction(x, w_f, b_f, False), self._numpy_direction(x, w_b, b_b, True)],
             axis=2,
         )
-        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-6)
+        weights = [Tensor(a, requires_grad=True) for a in (w_f, b_f, w_b, b_b)]
+        untaped = layers.bilstm(t(x), *weights)
+        # a recorded call keeps the gates and cells for backward: another path
+        with ComputationTape() as tape:
+            taped = layers.bilstm(t(x), *weights)
+        assert len(tape.nodes) == 1
+        np.testing.assert_allclose(untaped.data, expected, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(taped.data, untaped.data)
 
     def test_time_reversal_direction_swap_symmetry(self):
         rng = np.random.default_rng(11)
@@ -458,6 +486,21 @@ class TestPooling:
         pooled = layers.global_max_pool_time(x)
         assert np.all(pooled.data[:, None, :] >= x.data)
         assert np.all((pooled.data[:, None, :] == x.data).any(axis=1))
+
+    def test_global_max_pool_ties_send_gradient_to_first_index(self):
+        x = Tensor(
+            np.array([[[3.0, 1.0], [7.0, 1.0], [7.0, 0.5]],
+                      [[2.0, 8.0], [2.0, 8.0], [2.0, 8.0]]]),
+            requires_grad=True,
+        )
+        with ComputationTape() as tape:
+            out = layers.global_max_pool_time(x)
+        np.testing.assert_array_equal(out.data, [[7.0, 1.0], [2.0, 8.0]])
+        (d_x,) = tape.nodes[0].rule(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        expected = np.zeros((2, 3, 2))
+        expected[0, 1, 0], expected[0, 0, 1] = 1.0, 2.0
+        expected[1, 0, 0], expected[1, 0, 1] = 3.0, 4.0
+        np.testing.assert_array_equal(d_x, expected)
 
     def test_global_avg_pool(self):
         x = t(np.arange(12, dtype=np.float64).reshape(1, 4, 3))

@@ -9,6 +9,7 @@ from papernet.model import (
     count_parameters,
     forward,
 )
+from papernet.tensor import ComputationTape
 
 EXPECTED_SHAPE_CHAIN = [
     ("conv_block1", (16, 32)),
@@ -105,6 +106,28 @@ class TestForwardDeterminism:
         batched = forward(m, x).data
         singles = np.concatenate([forward(m, x[i : i + 1]).data for i in range(8)])
         np.testing.assert_allclose(batched, singles, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_outside_a_tape_matches_recorded_forward(self, variant, dtype):
+        # outside a tape the layers skip backward-only state and work in
+        # place; inside one they keep it: the outputs must agree bitwise
+        m = build_papernet(variant=variant, seed=12, dtype=dtype)
+        rng = np.random.default_rng(13)
+        for i in (1, 2, 3):
+            for name in ("gamma", "beta", "running_mean", "running_var"):
+                p = m.params[f"bn{i}.{name}"]
+                p.data = rng.uniform(0.5, 2.0, size=p.shape).astype(dtype)
+        x = batch(37, seed=14).astype(dtype)
+        with_attention = variant != "no_attention"
+        untaped = forward(m, x, return_attention=with_attention)
+        with ComputationTape() as tape:
+            taped = forward(m, x, return_attention=with_attention)
+        assert tape.nodes
+        if with_attention:
+            np.testing.assert_array_equal(untaped[1].data, taped[1].data)
+            untaped, taped = untaped[0], taped[0]
+        np.testing.assert_array_equal(untaped.data, taped.data)
 
 
 class TestParameterCounts:

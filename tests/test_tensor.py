@@ -80,6 +80,17 @@ class TestReductions:
         with pytest.raises(ShapeError):
             reduce_mean(Tensor(np.zeros((0,))), axis=0)
 
+    @pytest.mark.parametrize("reduce", [reduce_mean, reduce_max], ids=["mean", "max"])
+    @pytest.mark.parametrize("axis", [3, 5, -4])
+    def test_out_of_range_axis_rejected(self, reduce, axis):
+        with pytest.raises(ShapeError, match="out of range"):
+            reduce(Tensor(np.zeros((2, 4, 3))), axis=axis)
+
+    def test_negative_axis_counts_from_the_end(self):
+        x = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        np.testing.assert_array_equal(reduce_max(x, axis=-3).data, x.data.max(axis=0))
+        np.testing.assert_array_equal(reduce_mean(x, axis=(-1,)).data, x.data.mean(axis=2))
+
 
 def dense_sum(x):
     """Sum of a [1, n] row as one dense node: x @ ones + 0, shape [1, 1]."""
@@ -110,6 +121,17 @@ class TestBackward:
             backward(tape, loss)
             with pytest.raises(TapeError):
                 backward(tape, loss)
+
+    def test_backward_releases_each_node(self):
+        x = t64([[1.0, -2.0]], requires_grad=True)
+        with ComputationTape() as tape:
+            loss = dense_sum(relu(x))
+            backward(tape, loss)
+        assert [node.name for node in tape.nodes] == ["relu", "dense"]
+        assert all(node.rule is None and node.inputs == () for node in tape.nodes)
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
+        with pytest.raises(TapeError):
+            backward(tape, loss)
 
     def test_loss_must_be_scalar(self):
         x = t64([1.0, 2.0], requires_grad=True)

@@ -341,3 +341,25 @@ class TestSoftmaxIntoLoss:
         stepped = Tensor(logits.data - 0.1 * logits.grad, dtype=np.float64)
         new_loss = weighted_cross_entropy(softmax_lastaxis(stepped), onehot)
         assert new_loss.item() < loss.item()
+
+
+class TestInferBatches:
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_batches_fill_one_array(self, attention):
+        model = build_papernet(seed=5)
+        rows = np.random.default_rng(6).standard_normal((training_mod.INFER_BATCH + 3, 16))
+        got = training_mod.infer_batches(model, rows, return_attention=attention)
+        parts = [
+            forward(model, rows[start : start + training_mod.INFER_BATCH, :, None],
+                    return_attention=attention)
+            for start in (0, training_mod.INFER_BATCH)
+        ]
+        expected = np.concatenate([(p[1] if attention else p).data for p in parts])
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("attention, width", [(False, 4), (True, 128)])
+    def test_no_rows_give_empty_array(self, attention, width):
+        got = training_mod.infer_batches(build_papernet(seed=5), np.zeros((0, 16)),
+                                         return_attention=attention)
+        assert got.shape == (0, width) and got.dtype == np.float32
