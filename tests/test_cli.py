@@ -457,6 +457,28 @@ def test_cli_import_loads_no_scipy():
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
+def test_preprocess_runs_without_scipy(synthetic_csv, tmp_path):
+    """With scipy made unimportable, ``papernet preprocess`` and
+    ``cli.prepare_dataset`` still band-pass and split a recording."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from papernet import cli\n"
+        "data, outdir = sys.argv[1:]\n"
+        "code = cli.main(['preprocess', '--data', data, '--outdir', outdir])\n"
+        "prepared = cli.prepare_dataset(cli.RunConfig(data=data))\n"
+        "print(code, prepared.features.shape)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(synthetic_csv), str(tmp_path / "pre")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 (240, 16)"
+
+
 CONFIG_FLAGS = [
     "--band-high-hz", "--band-low-hz", "--batch-size", "--config", "--data", "--dropout",
     "--early-stop-patience", "--help", "--l2", "--lr0", "--max-epochs", "--min-lr",

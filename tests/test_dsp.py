@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from papernet.dsp import (
     BiquadCascade,
@@ -73,6 +76,15 @@ class TestDesign:
         with pytest.raises(FilterDesignError):
             butter_bandpass_design(4, 0.0, 45.0, 256.0)
 
+    @pytest.mark.parametrize("order", [0, -1, 2.5, 4.0, True, "4", None])
+    def test_order_must_be_positive_int(self, order):
+        with pytest.raises(FilterDesignError, match="order"):
+            butter_bandpass_design(order, 0.5, 45.0, 256.0)
+
+    def test_numpy_integer_order_accepted(self):
+        cascade = butter_bandpass_design(np.int64(2), 0.5, 45.0, 256.0)
+        assert (cascade.order, cascade.sections.shape) == (2, (2, 6))
+
     def test_response_rejects_out_of_range(self):
         with pytest.raises(FilterDesignError):
             frequency_response(design(256.0), 200.0)
@@ -134,6 +146,58 @@ class TestFiltFilt:
     def test_too_short_signal(self):
         with pytest.raises(DataError):
             filtfilt(design(256.0), np.zeros(27))
+
+
+ORACLE_RATES = (100.0, 128.0, 256.0, 512.0, 1000.0)
+
+
+@st.composite
+def _designs(draw):
+    """An order 1..8, a sample rate and a band whose edges lie between 0.1%
+    and 99.9% of Nyquist, at least 0.1% of Nyquist apart."""
+    order = draw(st.integers(1, 8))
+    fs = draw(st.sampled_from(ORACLE_RATES))
+    low = draw(st.floats(1e-3, 0.998))
+    high = draw(st.floats(low + 1e-3, 0.999))
+    return order, low * fs / 2, high * fs / 2, fs
+
+
+class TestScipyOracle:
+    """The numpy design, response and zero-phase filter against
+    ``scipy.signal``, which papernet itself does not import."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(design_args=_designs())
+    def test_design_matches_butter_sos(self, design_args):
+        order, low, high, fs = design_args
+        expected = signal.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
+        got = butter_bandpass_design(order, low, high, fs).sections
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("fs", ORACLE_RATES)
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_frequency_response_matches_sosfreqz(self, order, fs):
+        cascade = butter_bandpass_design(order, 0.5, 45.0, fs)
+        f = np.linspace(0.0, fs / 2, 257)
+        _, h = signal.sosfreqz(cascade.sections, worN=f, fs=fs)
+        np.testing.assert_allclose(frequency_response(cascade, f), np.abs(h),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("fs", ORACLE_RATES)
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_filtfilt_matches_sosfiltfilt(self, order, fs):
+        cascade = butter_bandpass_design(order, 0.5, 45.0, fs)
+        pad = 3 * (2 * order + 1)
+        rng = np.random.default_rng(order)
+        # the shortest allowed length and a recording of many blocks, each
+        # as one signal and as 16 columns
+        for shape in [(pad + 1,), (pad + 1, 16), (2000,), (2000, 16)]:
+            x = rng.normal(size=shape) + 3.0
+            expected = signal.sosfiltfilt(cascade.sections, x, axis=0, padlen=pad)
+            got = filtfilt(cascade, x)
+            assert got.shape == expected.shape
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-9 * scale, shape
 
 
 class TestPreprocessRecording:
