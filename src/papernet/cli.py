@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -58,9 +59,10 @@ class RunConfig(TrainConfig):
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
 
 
+@functools.cache
 def _field_types() -> dict[str, tuple[type, ...]]:
     """The value types each RunConfig field accepts, e.g. (int, NoneType)
-    for ``int | None``, in field order."""
+    for ``int | None``, in field order. Cached: callers only read it."""
     hints = typing.get_type_hints(RunConfig)
     return {name: typing.get_args(hint) or (hint,) for name, hint in hints.items()}
 

@@ -2,6 +2,12 @@
 weight-file format, and the atomic CSV and JSON writers every artifact goes
 through.
 
+CSV ingest reads the header with the csv module and the body with one
+``numpy.loadtxt`` call, checked as a whole for finite features and integer
+labels. Anything that call or its checks refuse goes to the row scanner,
+which reads the file cell by cell and names the line of the first bad row;
+the scanner is the reference the fast path is tested against.
+
 Weight files: magic "PNW1", an 8-byte little-endian header length, a UTF-8
 JSON header {"version": 1, "variant": ..., "tensors": [{"name", "shape",
 "offset", "len"}, ...]}, the raw little-endian float32 tensor data packed
@@ -20,10 +26,12 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,50 +65,104 @@ class RawDataset:
 
 def load_csv(path) -> RawDataset:
     """Parse a header CSV with 16 numeric feature columns and an integer
-    label column named "y" (falling back to the last column)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            features, labels, line_nos = _read_rows(path, reader)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
-    array = np.asarray(features, dtype=np.float64).reshape(len(labels), NUM_CHANNELS)
-    bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
-    if len(bad):
-        raise DataError(f"{path}:{line_nos[bad[0]]}: non-finite feature cell")
-    return RawDataset(features=array, labels=np.asarray(labels, dtype=np.int64))
+    label column named "y" (falling back to the last column). A leading
+    UTF-8 byte-order mark is skipped.
+
+    The body is parsed by one :func:`numpy.loadtxt` call. When that call
+    fails or warns, or its result fails a check, the row scanner
+    :func:`_read_rows` reads the file again and raises its line-numbered
+    :class:`DataError`. The scanner is also the reference the fast path is
+    tested against: both return the same arrays for every file they accept.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    reader = csv.reader(text)
+    try:
+        width, label_col = _read_header(path, reader)
+        dataset = _parse_body(raw, text, width, label_col)
+        if dataset is None:
+            text.seek(0)
+            reader = csv.reader(text)
+            dataset = _read_rows(path, reader)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+    return dataset
 
 
-def _read_rows(path, reader):
-    """Feature rows, labels and the line number of each row; every bad cell
-    is a DataError naming its line."""
+def _read_header(path, reader) -> tuple[int, int]:
+    """The header's cell count and its label column: "y" if present, else
+    the last one. The other columns must be the 16 features."""
     try:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file, header row required") from None
     header = [h.strip() for h in header]
-    if "y" in header:
-        label_col = header.index("y")
-    else:
-        label_col = len(header) - 1
-    feature_cols = [i for i in range(len(header)) if i != label_col]
-    if len(feature_cols) != NUM_CHANNELS:
+    label_col = header.index("y") if "y" in header else len(header) - 1
+    n_features = max(len(header) - 1, 0)
+    if n_features != NUM_CHANNELS:
         raise DataError(
             f"{path}: expected {NUM_CHANNELS} feature columns plus a label, "
-            f"got {len(feature_cols)} feature columns"
+            f"got {n_features} feature columns"
         )
+    return len(header), label_col
+
+
+# float() does not strip these around a number, and loadtxt does
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _parse_body(raw: bytes, text, width: int, label_col: int) -> RawDataset | None:
+    """The rows left in ``text`` after the header, parsed by one
+    ``np.loadtxt`` call; None when the scanner must decide instead. That is
+    when loadtxt raises or warns (a header-only file warns), a row is not
+    ``width`` cells, a feature is not finite, a label is not an integer in
+    [0, 2**63), or ``raw`` holds text that loadtxt and the scanner could
+    read differently: a byte from ``_LOADTXT_ONLY_SPACE``, or a cell the
+    csv module would refuse as longer than its field limit."""
+    if any(space in raw for space in _LOADTXT_ONLY_SPACE) or _may_hold_long_cell(raw):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(text, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    if table.shape[1] != width:
+        return None
+    labels = table[:, label_col]
+    features = np.delete(table, label_col, axis=1)
+    if not (np.isfinite(features).all() and (labels == np.floor(labels)).all()
+            and ((labels >= 0) & (labels < 2.0**63)).all()):
+        return None
+    return RawDataset(features=features, labels=labels.astype(np.int64))
+
+
+def _may_hold_long_cell(raw: bytes) -> bool:
+    """Whether ``raw`` may hold a cell longer than the csv field limit that
+    parses as a number. Such a cell has no comma, and a comma-free stretch
+    longer than the limit covers a whole aligned block of half the limit,
+    so one ``find`` per block, each stopping at its first comma, decides."""
+    block = max(csv.field_size_limit() // 2, 1)
+    return any(raw.find(b",", i, i + block) < 0 for i in range(0, len(raw) - block + 1, block))
+
+
+def _read_rows(path, reader) -> RawDataset:
+    """The row scanner: the header and then every row cell by cell. Each
+    bad cell is a DataError naming the physical line its row ends on."""
+    width, label_col = _read_header(path, reader)
+    feature_cols = [i for i in range(width) if i != label_col]
     features: list[list[float]] = []
     labels: list[int] = []
     line_nos: list[int] = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-            )
+        line_no = reader.line_num
+        if len(row) != width:
+            raise DataError(f"{path}:{line_no}: expected {width} cells, got {len(row)}")
         try:
             values = [float(row[i]) for i in feature_cols]
         except ValueError as exc:
@@ -119,7 +181,11 @@ def _read_rows(path, reader):
         features.append(values)
         labels.append(int(raw_label))
         line_nos.append(line_no)
-    return features, labels, line_nos
+    array = np.asarray(features, dtype=np.float64).reshape(len(labels), NUM_CHANNELS)
+    bad = np.flatnonzero(~np.isfinite(array).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}:{line_nos[bad[0]]}: non-finite feature cell")
+    return RawDataset(features=array, labels=np.asarray(labels, dtype=np.int64))
 
 
 @dataclass

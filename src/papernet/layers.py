@@ -2,12 +2,14 @@
 bidirectional LSTM, dropout, and dense projections.
 
 Sequence layers take batched [B, T, C] tensors only; dense and dropout
-act on [B, F]. Every layer records one tape node per call (infer-mode
-dropout, the identity, records none), so its backward rule is written by
-hand and covered by the gradient checks: convolution, max pooling, batch
-norm, the squeeze-and-excitation block, the BiLSTM (both directions in one
-node, with backpropagation through time in numpy), dropout and dense. The
-global pools are one reduction each from :mod:`papernet.tensor`.
+act on [B, F]. The convolution is one GEMM over im2col patches, taken as a
+``sliding_window_view`` of a zero-padded copy of the input. Every layer
+records one tape node per call (infer-mode dropout, the identity, records
+none), so its backward rule is written by hand and covered by the gradient
+checks: convolution, max pooling, batch norm, the squeeze-and-excitation
+block, the BiLSTM (both directions in one node, with backpropagation
+through time in numpy), dropout and dense. The global pools are one
+reduction each from :mod:`papernet.tensor`.
 
 State only a backward pass reads is built only when a tape will record the
 call (:func:`papernet.tensor._recording`): max pooling finds each window's
@@ -58,10 +60,13 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         )
     batch, length, _ = xd.shape
     pad = k // 2
-    xp = np.pad(xd, ((0, 0), (pad, pad), (0, 0)))
-    # patches[b, t, i, c] = padded input at time t + i - pad
-    patches = np.stack([xp[:, i : i + length, :] for i in range(k)], axis=2)
-    flat = patches.reshape(batch * length, k * c_in)
+    xp = np.zeros((batch, length + 2 * pad, c_in), dtype=xd.dtype)
+    xp[:, pad : pad + length] = xd
+    # patches[b, t, i, c] = padded input at time t + i - pad, copied into
+    # one contiguous im2col matrix: at B = 1 a plain reshape returns an
+    # overlapping view, which matmul sums in another order
+    patches = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2)
+    flat = np.ascontiguousarray(patches).reshape(batch * length, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
     out = flat @ w2d
     out += bias.data

@@ -243,10 +243,21 @@ def report_to_json(report: EvalReport, path) -> None:
 
 def roc_to_csv(report: EvalReport, path) -> None:
     """Plot-ready ROC points: class, threshold, fpr, tpr."""
-    rows = (
-        [curve.class_id, repr(float(thr)), repr(float(fpr)), repr(float(tpr))]
-        for curve in report.roc
-        if curve.auc is not None
-        for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr)
+    curves = [curve for curve in report.roc if curve.auc is not None]
+    class_ids = [curve.class_id for curve in curves for _ in curve.fpr]
+    columns = (
+        _repr_each([getattr(curve, name) for curve in curves])
+        for name in ("thresholds", "fpr", "tpr")
     )
-    write_csv(path, ["class", "threshold", "fpr", "tpr"], rows)
+    write_csv(path, ["class", "threshold", "fpr", "tpr"], zip(class_ids, *columns))
+
+
+def _repr_each(arrays: list[np.ndarray]) -> list[str]:
+    """``repr(float(v))`` for each value of ``arrays`` in turn, formatting
+    each distinct bit pattern once: fpr and tpr repeat most of their
+    values, within a curve and across curves. Bits, not values, are
+    compared, so -0.0 keeps its sign."""
+    bits = np.concatenate([np.empty(0), *arrays]).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = [repr(v) for v in distinct.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]

@@ -1,7 +1,8 @@
 """Minimal dense tensor with tape-based reverse-mode differentiation.
 
 Training runs in float32; gradient checks run in float64. Every operation
-validates that its output is finite and, while a tape is active, records a
+validates that its output is finite (one ``np.isfinite(...).all()``, exact
+for large finite float64 values) and, while a tape is active, records a
 backward rule so one reverse sweep yields exact gradients. Only the ops the
 model calls between its layers live here: ``relu``, ``softmax_lastaxis``,
 ``reduce_mean`` and ``reduce_max``. Each layer in :mod:`papernet.layers`
@@ -17,7 +18,6 @@ used them, so a consumed tape no longer holds the step's intermediates.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,9 +147,9 @@ def backward(tape: ComputationTape, loss: Tensor) -> None:
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    # one reduction instead of isfinite().all(): any NaN/Inf makes the
-    # float64 sum non-finite, and float32 data cannot overflow it
-    if not math.isfinite(float(arr.sum(dtype=np.float64))):
+    # elementwise: no float64 copy of float32 data, and no sum that large
+    # finite float64 values could overflow
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by {opname}")
 
 

@@ -1,14 +1,18 @@
 import ast
+import csv
 import errno
 import hashlib
 import json
 import os
 import struct
+import warnings
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from papernet import data
@@ -105,6 +109,63 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=":2: label"):
             load_csv(path)
 
+    def test_row_error_names_its_physical_line(self, tmp_path):
+        # the quoted cell spans lines 2-3, so the bad row is on line 4
+        path = tmp_path / "multiline.csv"
+        header = ",".join([f"X{i+1}" for i in range(16)] + ["y"])
+        good = ",".join(['"0.5\n"'] + ["0.5"] * 15 + ["1"])
+        bad = ",".join(["0.5"] * 15 + ["oops", "1"])
+        path.write_text(f"{header}\n{good}\n{bad}\n")
+        with pytest.raises(DataError, match=r"multiline\.csv:4: non-numeric"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("scanner_only", [False, True], ids=["fast", "scanner"])
+    def test_byte_order_mark_skipped(self, tmp_path, scanner_only):
+        path = tmp_path / "bom.csv"
+        header = ",".join(["y"] + [f"X{i+1}" for i in range(16)])
+        row = ",".join(["2"] + ["0.25"] * 16)
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}\r\n{row}\r\n".encode())
+        ds = _load(path, scanner_only)
+        assert ds.labels.tolist() == [2]
+        np.testing.assert_array_equal(ds.features, np.full((1, 16), 0.25))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_clean_file_skips_the_scanner(self, tmp_path, newline, bom):
+        path = tmp_path / "clean.csv"
+        header = ",".join([f"X{i+1}" for i in range(16)] + ["y"])
+        rows = [",".join([repr(0.1 * i)] * 15 + ['"-2.5"', str(i % 3)]) for i in range(6)]
+        path.write_bytes(bom + newline.join([header, *rows, ""]).encode())
+        with mock.patch.object(data, "_read_rows", side_effect=AssertionError("scanner ran")):
+            ds = load_csv(path)
+        assert ds.labels.tolist() == [0, 1, 2, 0, 1, 2]
+        assert ds.features.flags["C_CONTIGUOUS"] and ds.features.shape == (6, 16)
+
+    def test_header_only_file_loads_empty_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join([f"X{i+1}" for i in range(16)] + ["y"]) + "\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = load_csv(path)
+        assert caught == []
+        assert ds.features.shape == (0, 16) and ds.labels.shape == (0,)
+
+    @pytest.mark.parametrize("scanner_only", [False, True], ids=["fast", "scanner"])
+    def test_cell_over_field_limit_refused(self, tmp_path, scanner_only):
+        # a number loadtxt reads, in a cell the csv module refuses
+        path = tmp_path / "long.csv"
+        header = ",".join([f"X{i+1}" for i in range(16)] + ["y"])
+        row = ",".join(["0" * csv.field_size_limit() + "1"] + ["0.5"] * 15 + ["1"])
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(DataError, match=r":2: malformed CSV \(field larger than field limit"):
+            _load(path, scanner_only)
+
+
+def _load(path, scanner_only=False):
+    """load_csv; with ``scanner_only``, the row scanner reads every file."""
+    with mock.patch.object(data, "_parse_body", return_value=None) if scanner_only else nullcontext():
+        return load_csv(path)
+
 
 CSV_HEADER = (",".join([f"X{i+1}" for i in range(16)] + ["y"]) + "\n").encode()
 _cell = st.sampled_from(["0.5", "-3", "1", "2.5", "1e19", "1e400", "nan", "", "x", '"', '"1,2"'])
@@ -125,6 +186,74 @@ def test_csv_loader_raises_only_data_errors(tmp_path, body):
         assert isinstance(load_csv(path), RawDataset)
     except DataError:
         pass
+
+
+def _outcome(path, scanner_only):
+    """The arrays load_csv returns, bytes and all, or its DataError text."""
+    try:
+        ds = _load(path, scanner_only)
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (ds.features, ds.labels)]
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-9, 9).map(str)
+# cells that float() and loadtxt may read differently, or that must fail
+_ODD_CELL = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "", " 7 ", "x", "1_0", "\u0661\u0662", "1\x00", "\x1c1",
+    "2\x1f", "0x10", '"0.25"', '" 3"', '"1,2"', '"0.5\n"', '"0.5\r\n"', '"1"2', '1"2"', '""',
+])
+_ODD_LABEL = st.sampled_from([
+    "1.0", "2e0", " 1", '"3"', "1.5", "-1", "-0", "-0.0", "nan", "inf", "2e18",
+    "9223372036854775807", "9223372036854775808", "1e19", "x", "", "1_0",
+])
+
+
+@st.composite
+def _csv_files(draw):
+    label_first = draw(st.booleans())
+    names = [f"X{i+1}" for i in range(16)]
+    header = ["y", *names] if label_first else [*names, draw(st.sampled_from(["y", "label"]))]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        # mostly clean rows, so that many files load and take the fast path
+        kind = draw(st.sampled_from(["row"] * 8 + ["odd", "odd_label", "blank", "space", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            cells = draw(st.lists(_NUMBER, min_size=16, max_size=16))
+            if kind == "odd":
+                cells[draw(st.integers(0, 15))] = draw(_ODD_CELL)
+            if kind == "ragged":
+                cells = cells[: draw(st.integers(0, 17))]
+            label = draw(_ODD_LABEL if kind == "odd_label" else st.integers(0, 3).map(str))
+            lines.append(",".join([label, *cells] if label_first else [*cells, label]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8") + draw(st.sampled_from([b""] * 4 + [b"\xff\n"]))
+
+
+def _one_row(cell, label="1"):
+    return (CSV_HEADER.decode() + ",".join([cell] + ["0.5"] * 15 + [label]) + "\n").encode()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_csv_files())
+@example(body=_one_row("\x1c1"))
+@example(body=_one_row("1_0"))
+@example(body=_one_row("\u0661"))
+@example(body=_one_row("0.5", "9223372036854775808"))
+@example(body=b"\xef\xbb\xbf" + _one_row('"0.5\r\n"').replace(b"\n", b"\r"))
+def test_fast_ingest_matches_the_scanner(tmp_path, body):
+    """load_csv returns the scanner's arrays bit for bit, or raises the
+    scanner's DataError text."""
+    path = tmp_path / "gen.csv"
+    path.write_bytes(body)
+    assert _outcome(path, scanner_only=False) == _outcome(path, scanner_only=True)
 
 
 class TestStratifiedSplit:

@@ -138,6 +138,44 @@ class TestConv1dSame:
             single = layers.conv1d_same(t(xs[i : i + 1]), kernel, bias)
             np.testing.assert_array_equal(batched.data[i], single.data[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_pad_and_stack_im2col_bitwise(self, k, dtype):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            batch, length, c_in, c_out = rng.integers(1, 9, size=4)
+            x = rng.normal(size=(batch, length, c_in)).astype(dtype)
+            kernel = rng.normal(size=(k, c_in, c_out)).astype(dtype)
+            bias = rng.normal(size=c_out).astype(dtype)
+            g = rng.normal(size=(batch, length, c_out)).astype(dtype)
+            with ComputationTape() as tape:
+                out = layers.conv1d_same(Tensor(x, requires_grad=True),
+                                         Tensor(kernel, requires_grad=True), Tensor(bias))
+            got = (out.data, *tape.nodes[0].rule(g))
+            for actual, expected in zip(got, _conv_pad_and_stack(x, kernel, bias, g)):
+                assert actual.dtype == expected.dtype and actual.shape == expected.shape
+                assert actual.tobytes() == expected.tobytes()
+
+
+def _conv_pad_and_stack(x, kernel, bias, g):
+    """Output and (dx, dkernel, dbias) of a same-padded convolution built
+    with ``np.pad`` and an ``np.stack`` of the k shifted slices."""
+    k, c_in, c_out = kernel.shape
+    batch, length, _ = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    flat = np.stack([xp[:, i : i + length] for i in range(k)], axis=2).reshape(-1, k * c_in)
+    w2d = kernel.reshape(k * c_in, c_out)
+    out = flat @ w2d
+    out += bias
+    gb = g.reshape(-1, c_out)
+    d_patches = (gb @ w2d.T).reshape(batch, length, k, c_in)
+    d_xp = np.zeros_like(xp)
+    for i in range(k):
+        d_xp[:, i : i + length] += d_patches[:, :, i]
+    return (out.reshape(batch, length, c_out), d_xp[:, pad : pad + length],
+            (flat.T @ gb).reshape(kernel.shape), gb.sum(axis=0))
+
 
 class TestMaxPool:
     def test_definition(self):

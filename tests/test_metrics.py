@@ -1,4 +1,6 @@
+import csv
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from papernet.errors import DataError, ShapeError
 from papernet.metrics import (
+    RocCurve,
     confusion,
     evaluate_probs,
     mcnemar,
     prf_metrics,
     random_baseline,
     roc_auc,
+    roc_to_csv,
 )
 
 
@@ -285,3 +289,43 @@ class TestEvaluateProbs:
         np.testing.assert_array_equal(report_a.confusion, report_b.confusion)
         assert report_a.macro_f1 == report_b.macro_f1
         assert report_a.macro_auc == pytest.approx(report_b.macro_auc, abs=1e-12)
+
+
+def _roc_csv_per_value(report, path):
+    """roc.csv with every value formatted on its own, as one generator."""
+    rows = (
+        [curve.class_id, repr(float(thr)), repr(float(fpr)), repr(float(tpr))]
+        for curve in report.roc
+        if curve.auc is not None
+        for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr)
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class", "threshold", "fpr", "tpr"])
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_roc_csv_bytes_match_per_value_formatting(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 400)), int(rng.integers(2, 6))
+    y = rng.integers(0, k, size=n)
+    # few distinct scores, so thresholds tie and fpr and tpr repeat
+    probs = rng.integers(0, 6, size=(n, k)) / 5 + rng.random((n, k)) * (seed % 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a class absent from y has no AUC
+        report = evaluate_probs(y, probs, k)
+    roc_to_csv(report, tmp_path / "roc.csv")
+    _roc_csv_per_value(report, tmp_path / "reference.csv")
+    assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_roc_csv_keeps_signed_zero_and_skips_undefined_curves(tmp_path):
+    values = np.array([np.inf, 0.0, -0.0, 0.5, -0.0, 0.0])
+    curves = [RocCurve(0, values, values[::-1].copy(), values, 0.5),
+              RocCurve(1, np.array([np.inf]), np.zeros(1), np.zeros(1), None)]
+    report = SimpleNamespace(roc=curves)
+    roc_to_csv(report, tmp_path / "roc.csv")
+    _roc_csv_per_value(report, tmp_path / "reference.csv")
+    assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert "-0.0" in (tmp_path / "roc.csv").read_text()

@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestActivations:
     def test_non_finite_input_rejected(self):
         with pytest.raises(NonFiniteError):
             relu(Tensor(np.array([np.nan])))
+
+    def test_large_finite_float64_accepted_without_warning(self):
+        # the float64 sum of these overflows, though every value is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = relu(t64([1e308, 1e308]))
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_output_rejected(self, dtype, value):
+        with pytest.raises(NonFiniteError, match="reduce_mean"):
+            reduce_mean(Tensor(np.array([[1.0, value]], dtype=dtype)), axis=1)
 
 
 class TestReductions:
