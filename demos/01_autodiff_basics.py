@@ -11,7 +11,6 @@ from papernet.tensor import (
     Tensor,
     backward,
     gradcheck,
-    reduce_mean,
     relu,
     softmax_lastaxis,
 )
@@ -22,10 +21,13 @@ b = Tensor(np.array([0.1, -0.2]), requires_grad=True, dtype=np.float64)
 x = Tensor(np.array([[1.0, 2.0]]), dtype=np.float64)
 
 # Operations executed inside a tape context are recorded in order; each
-# layer is one node with a hand-written backward rule.
+# layer is one node with a hand-written backward rule. A dense node with a
+# fixed averaging weight turns the hidden row into a scalar loss.
+mean_w = Tensor(np.full((2, 1), 0.5), dtype=np.float64)
+zero = Tensor(np.zeros(1), dtype=np.float64)
 with ComputationTape() as tape:
     hidden = relu(dense(x, w, b))
-    loss = reduce_mean(hidden)
+    loss = dense(hidden, mean_w, zero)
     backward(tape, loss)
 
 print("tape nodes       :", [node.name for node in tape.nodes])
@@ -43,7 +45,8 @@ rng = np.random.default_rng(0)
 x64 = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
 w64 = Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=np.float64)
 b64 = Tensor(rng.normal(size=2), requires_grad=True, dtype=np.float64)
-err = gradcheck(lambda *t: reduce_mean(relu(dense(*t))), [x64, w64, b64])
+# a non-scalar output is reduced by a fixed random projection
+err = gradcheck(lambda *t: relu(dense(*t)), [x64, w64, b64])
 print(f"gradcheck dense-relu chain: max relative error {err:.2e}")
 
 # Softmax rows always sum to one; the checker works on any composite.

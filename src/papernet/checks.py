@@ -14,7 +14,7 @@ import numpy as np
 
 from . import layers
 from .model import VARIANTS, build_papernet, forward
-from .tensor import Tensor, gradcheck, reduce_max, reduce_mean, relu, softmax_lastaxis
+from .tensor import Tensor, gradcheck, relu, softmax_lastaxis
 from .training import weighted_cross_entropy
 
 TOLERANCE = 1e-5
@@ -38,15 +38,6 @@ def check_softmax() -> float:
     return gradcheck(softmax_lastaxis, _t(rng, 4, 6))
 
 
-def check_reductions() -> float:
-    rng = np.random.default_rng(18)
-    errs = [
-        gradcheck(lambda x: reduce_mean(x, axis=(0, 1)), _t(rng, 3, 4, 2)),
-        gradcheck(lambda x: reduce_max(x, axis=0), _t(rng, 5, 3)),
-    ]
-    return max(errs)
-
-
 def check_conv1d() -> float:
     rng = np.random.default_rng(19)
     x, k, b = _t(rng, 2, 7, 3), _t(rng, 5, 3, 4), _t(rng, 4)
@@ -56,6 +47,13 @@ def check_conv1d() -> float:
 def check_maxpool() -> float:
     rng = np.random.default_rng(20)
     return gradcheck(lambda x: layers.maxpool1d(x, 2), _t(rng, 2, 6, 3))
+
+
+def check_global_pools() -> float:
+    rng = np.random.default_rng(18)
+    # values 0.1 apart: no maximum within the finite-difference step of another
+    x = Tensor(rng.permutation(30).reshape(3, 5, 2) / 10.0, requires_grad=True)
+    return max(gradcheck(layers.global_avg_pool_time, x), gradcheck(layers.global_max_pool_time, x))
 
 
 def check_batchnorm() -> float:
@@ -155,9 +153,9 @@ def _check_model(variant: str) -> float:
 SUITE = {
     "relu": check_relu,
     "softmax": check_softmax,
-    "reductions": check_reductions,
     "conv1d_same": check_conv1d,
     "maxpool1d": check_maxpool,
+    "global_pools": check_global_pools,
     "batchnorm": check_batchnorm,
     "se_attention": check_se_attention,
     "bilstm": check_bilstm,

@@ -55,10 +55,6 @@ class RawDataset:
     labels: np.ndarray
 
     @property
-    def num_samples(self) -> int:
-        return len(self.labels)
-
-    @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
@@ -195,8 +191,6 @@ class SplitIndices:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
-    ratios: tuple = DEFAULT_RATIOS
 
     def hash(self) -> str:
         h = hashlib.sha256()
@@ -231,8 +225,6 @@ def stratified_split(labels, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitIndic
         train=np.sort(np.concatenate(train)),
         val=np.sort(np.concatenate(val)),
         test=np.sort(np.concatenate(test)),
-        seed=seed,
-        ratios=tuple(ratios),
     )
 
 

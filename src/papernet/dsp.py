@@ -278,7 +278,6 @@ class Standardizer:
 
     mean: np.ndarray
     std: np.ndarray
-    fitted_on: str
 
 
 def fit_standardizer(filtered, train_indices) -> Standardizer:
@@ -299,7 +298,7 @@ def fit_standardizer(filtered, train_indices) -> Standardizer:
             stacklevel=2,
         )
         std = np.where(degenerate, STD_FLOOR, std)
-    return Standardizer(mean=mean, std=std, fitted_on=f"train[n={idx.size}]")
+    return Standardizer(mean=mean, std=std)
 
 
 def apply_standardizer(standardizer: Standardizer, rows) -> np.ndarray:

@@ -8,16 +8,18 @@ records one tape node per call (infer-mode dropout, the identity, records
 none), so its backward rule is written by hand and covered by the gradient
 checks: convolution, max pooling, batch norm, the squeeze-and-excitation
 block, the BiLSTM (both directions in one node, with backpropagation
-through time in numpy), dropout and dense. The global pools are one
-reduction each from :mod:`papernet.tensor`.
+through time in numpy), dropout, dense and the two global pools over
+time. Global max pooling is max pooling with one window of all T steps:
+both run one private window-max forward and first-max rule.
 
 State only a backward pass reads is built only when a tape will record the
-call (:func:`papernet.tensor._recording`): max pooling finds each window's
-first maximal step in the rule, batch norm outside a tape scales and
-shifts its normalized input in place instead of keeping ``x_hat``, and the
-BiLSTM keeps its gate activations and cell states only for a recorded
-call. In-place steps write only into arrays the layer allocated itself,
-never into an input, since another node's rule may read it.
+call (:func:`papernet.tensor._recording`): max pooling, global or not,
+finds each window's first maximal step in the rule, batch norm outside a
+tape scales and shifts its normalized input in place instead of keeping
+``x_hat``, and the BiLSTM keeps its gate activations and cell states only
+for a recorded call. In-place steps write only into arrays the layer
+allocated itself, never into an input, since another node's rule may read
+it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _make_output, _recording, reduce_max, reduce_mean
+from .tensor import Tensor, _make_output, _recording
 
 MODES = ("train", "infer")
 
@@ -85,16 +87,10 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return _make_output(out, (x, kernel, bias), "conv1d_same", rule)
 
 
-def maxpool1d(x: Tensor, pool: int = 2) -> Tensor:
+def _window_max(xd: np.ndarray, pool: int):
     """Per-channel maximum over non-overlapping windows of ``pool`` steps of
-    a [B, T, C] tensor; a trailing window shorter than ``pool`` is dropped."""
-    _require_btc(x, "maxpool1d")
-    if pool < 1:
-        raise ShapeError(f"pool must be >= 1, got {pool}")
-    xd = x.data
+    [B, T, C] data, [B, T // pool, C], and its backward rule."""
     batch, length, channels = xd.shape
-    if length < pool:
-        raise ShapeError(f"input length {length} shorter than pool {pool}")
     t_out = length // pool
     windows = xd[:, : t_out * pool, :].reshape(batch, t_out, pool, channels)
     out = windows.max(axis=2)
@@ -112,6 +108,18 @@ def maxpool1d(x: Tensor, pool: int = 2) -> Tensor:
             free &= ~hit
         return (d_x,)
 
+    return out, rule
+
+
+def maxpool1d(x: Tensor, pool: int = 2) -> Tensor:
+    """Per-channel maximum over non-overlapping windows of ``pool`` steps of
+    a [B, T, C] tensor; a trailing window shorter than ``pool`` is dropped."""
+    _require_btc(x, "maxpool1d")
+    if pool < 1:
+        raise ShapeError(f"pool must be >= 1, got {pool}")
+    if x.shape[1] < pool:
+        raise ShapeError(f"input length {x.shape[1]} shorter than pool {pool}")
+    out, rule = _window_max(x.data, pool)
     return _make_output(out, (x,), "maxpool1d", rule)
 
 
@@ -388,11 +396,29 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make_output(xd @ wd + bias.data, (x, weight, bias), "dense", rule)
 
 
+def _require_steps(x: Tensor, layer: str) -> None:
+    _require_btc(x, layer)
+    if x.shape[1] == 0:
+        raise ShapeError(f"{layer} over an empty time axis, shape {x.shape}")
+
+
 def global_avg_pool_time(x: Tensor) -> Tensor:
     """Mean over the time axis of [B, T, C] features."""
-    return reduce_mean(x, axis=1)
+    _require_steps(x, "global_avg_pool_time")
+    xd = x.data
+    length = xd.shape[1]
+
+    def rule(g):
+        # keeps the broadcast's time-innermost layout: a C-order copy makes
+        # the convolution and batch-norm gradients below differ in the last bits
+        return (np.broadcast_to(g[:, None, :] / length, xd.shape).astype(g.dtype, copy=True),)
+
+    return _make_output(xd.mean(axis=1), (x,), "global_avg_pool_time", rule)
 
 
 def global_max_pool_time(x: Tensor) -> Tensor:
-    """Max over the time axis of [B, T, C] features."""
-    return reduce_max(x, axis=1)
+    """Max over the time axis of [B, T, C] features: max pooling with one
+    window of all T steps, the time axis dropped."""
+    _require_steps(x, "global_max_pool_time")
+    out, rule = _window_max(x.data, x.shape[1])
+    return _make_output(out[:, 0], (x,), "global_max_pool_time", lambda g: rule(g[:, None]))

@@ -161,16 +161,12 @@ def random_baseline(labels, num_classes: int, seed: int = 0) -> np.ndarray:
 
 
 @dataclass
-class EvalReport:
-    """Everything reported for one classifier on one split."""
+class EvalReport(PrfMetrics):
+    """Everything reported for one classifier on one split: the P/R/F1
+    metrics of its confusion matrix, ROC/AUC and McNemar's test."""
 
     num_classes: int
     confusion: np.ndarray
-    accuracy: float
-    per_class: list[ClassReport]
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
     roc: list[RocCurve]
     macro_auc: float | None
     mcnemar_vs_random: McNemarResult
@@ -222,13 +218,9 @@ def evaluate_probs(y_true, probs, num_classes: int | None = None, baseline_seed:
     baseline = random_baseline(y_true, k, seed=baseline_seed)
     mc = mcnemar(y_pred == y_true, baseline == y_true)
     return EvalReport(
+        **vars(prf),
         num_classes=k,
         confusion=cm,
-        accuracy=prf.accuracy,
-        per_class=prf.per_class,
-        macro_precision=prf.macro_precision,
-        macro_recall=prf.macro_recall,
-        macro_f1=prf.macro_f1,
         roc=curves,
         macro_auc=macro_auc,
         mcnemar_vs_random=mc,

@@ -4,16 +4,17 @@ Training runs in float32; gradient checks run in float64. Every operation
 validates that its output is finite (one ``np.isfinite(...).all()``, exact
 for large finite float64 values) and, while a tape is active, records a
 backward rule so one reverse sweep yields exact gradients. Only the ops the
-model calls between its layers live here: ``relu``, ``softmax_lastaxis``,
-``reduce_mean`` and ``reduce_max``. Each layer in :mod:`papernet.layers`
-and the training loss record their one node through :func:`_make_output`
-with a hand-written rule.
+model calls between its layers live here: ``relu`` and
+``softmax_lastaxis``. Each layer in :mod:`papernet.layers` (the global
+pools too) and the training loss record their one node through
+:func:`_make_output` with a hand-written rule.
 
-State that only a backward pass reads (a ReLU mask, a max's argmax) is
-computed inside the rule, and a layer that must keep such state from its
-forward asks :func:`_recording` first, so a forward outside a tape builds
-none of it. :func:`backward` drops each node's rule and inputs once it has
-used them, so a consumed tape no longer holds the step's intermediates.
+State that only a backward pass reads (a ReLU mask, the position of a
+pooled maximum) is computed inside the rule, and a layer that must keep
+such state from its forward asks :func:`_recording` first, so a forward
+outside a tape builds none of it. :func:`backward` drops each node's rule
+and inputs once it has used them, so a consumed tape no longer holds the
+step's intermediates.
 """
 
 from __future__ import annotations
@@ -193,60 +194,6 @@ def softmax_lastaxis(a: Tensor) -> Tensor:
         return ((g - dot) * data,)
 
     return _make_output(data, (a,), "softmax_lastaxis", rule)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    for ax in axis:
-        if not -ndim <= ax < ndim:
-            raise ShapeError(f"axis {ax} out of range for a {ndim}-D tensor")
-    return tuple(ax % ndim for ax in axis)
-
-
-def _check_nonempty(a: Tensor, axes: tuple[int, ...], name: str) -> None:
-    for ax in axes:
-        if a.shape[ax] == 0:
-            raise ShapeError(f"{name} over empty axis {ax} of shape {a.shape}")
-
-
-def reduce_mean(a: Tensor, axis=None) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
-    _check_nonempty(a, axes, "mean")
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    data = a.data.mean(axis=axes)
-    kept = tuple(1 if i in axes else ext for i, ext in enumerate(a.shape))
-
-    def rule(g):
-        scaled = g.reshape(kept) / count
-        return (np.broadcast_to(scaled, a.shape).astype(g.dtype, copy=True),)
-
-    return _make_output(data, (a,), "reduce_mean", rule)
-
-
-def reduce_max(a: Tensor, axis: int) -> Tensor:
-    """Max along one axis; gradient flows to the first maximal index on ties."""
-    (ax,) = _normalize_axes(axis, a.ndim)
-    _check_nonempty(a, (ax,), "max")
-    data = a.data.max(axis=ax)
-
-    def rule(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        argmax = np.argmax(a.data, axis=ax)
-        np.put_along_axis(
-            full, np.expand_dims(argmax, ax), np.expand_dims(g, ax), axis=ax
-        )
-        return (full,)
-
-    return _make_output(data, (a,), "reduce_max", rule)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ LOG_FLOOR = 1e-12
 INFER_BATCH = 256  # rows per infer-mode forward
 
 
+def _quiet_fp() -> np.errstate:
+    # every op output is checked for NaN/Inf, so numpy's own warnings add nothing
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 @dataclass
 class TrainConfig:
     lr0: float = 1e-3
@@ -199,8 +204,7 @@ def infer_batches(model: ModelGraph, rows, return_attention: bool = False) -> np
         rows = rows[:, :, None]
     width = CONV_WIDTHS[-1] if return_attention else model.num_classes
     out = np.empty((len(rows), width), dtype=model.dtype)
-    # every op output is checked for NaN/Inf, so numpy's own warnings add nothing
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _quiet_fp():
         for start in range(0, len(rows), INFER_BATCH):
             result = forward(model, rows[start : start + INFER_BATCH], mode="infer",
                              return_attention=return_attention)
@@ -269,8 +273,7 @@ def train(
         perm = np.random.default_rng([config.seed, epoch]).permutation(n_train)
         loss_sum = 0.0
         correct = 0
-        # every op output is checked for NaN/Inf, so numpy's own warnings add nothing
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with _quiet_fp():
             for batch_no, (start, end) in enumerate(zip(bounds, bounds[1:])):
                 idx = perm[start:end]
                 drop_rng = np.random.default_rng([config.seed, epoch, batch_no])

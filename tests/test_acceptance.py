@@ -233,7 +233,7 @@ class TestCriterion8DatasetReproduction:
     )
     def test_reproduction_over_three_seeds(self, tmp_path):
         raw = load_csv(BEED_PATH)
-        assert raw.num_samples == 8000
+        assert len(raw.labels) == 8000
         filtered = preprocess_recording(raw.features, 256.0)
         results = {}
         t0 = time.perf_counter()

@@ -47,7 +47,7 @@ class TestLoadCsv:
         feats = rng.normal(size=(3, 16))
         write_csv(path, feats, np.array([0, 1, 2]))
         ds = load_csv(path)
-        assert ds.num_samples == 3
+        assert len(ds.labels) == 3
         assert ds.num_classes == 3
         np.testing.assert_allclose(ds.features, feats)
 

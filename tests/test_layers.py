@@ -21,8 +21,11 @@ def t(data, dtype=np.float64):
             x, t(np.zeros((2, 1))), t(np.zeros(1)), t(np.zeros((1, 2))), t(np.zeros(2))
         ),
         lambda x: layers.bilstm(x, *[t(np.zeros((4, 3))), t(np.zeros(4))] * 2),
+        layers.global_avg_pool_time,
+        layers.global_max_pool_time,
     ],
-    ids=["conv1d_same", "maxpool1d", "se_residual_attention", "bilstm"],
+    ids=["conv1d_same", "maxpool1d", "se_residual_attention", "bilstm",
+         "global_avg_pool_time", "global_max_pool_time"],
 )
 def test_unbatched_input_rejected(layer):
     with pytest.raises(ShapeError):
@@ -49,9 +52,11 @@ def _se(residual):
         (lambda x: layers.dense(Tensor(x.data[:, 0], requires_grad=True), t(np.ones((3, 5))),
                                 t(np.ones(5))), "dense"),
         (lambda x: layers.dropout(x, 0.5, "train", np.random.default_rng(0)), "dropout"),
+        (layers.global_avg_pool_time, "global_avg_pool_time"),
+        (layers.global_max_pool_time, "global_max_pool_time"),
     ],
     ids=["bilstm", "batchnorm_train", "batchnorm_infer", "se_residual", "se_no_residual",
-         "dense", "dropout_train"],
+         "dense", "dropout_train", "global_avg_pool_time", "global_max_pool_time"],
 )
 def test_fused_layer_records_one_tape_node(layer, name):
     x = Tensor(np.ones((2, 4, 3)), requires_grad=True)
@@ -80,6 +85,11 @@ class TestFusedRuleGradcheck:
             lambda a: layers.dropout(a, 0.4, "train", np.random.default_rng(7)),
             [rng.normal(size=(5, 6))],
         ),
+        "global_avg_pool_time": lambda rng: (layers.global_avg_pool_time,
+                                             [rng.normal(size=(3, 5, 4))]),
+        # values 0.1 apart: no maximum within the finite-difference step of another
+        "global_max_pool_time": lambda rng: (layers.global_max_pool_time,
+                                             [rng.permutation(60).reshape(3, 5, 4) / 10.0]),
     }
 
     @pytest.mark.parametrize("name", sorted(RULES))
@@ -517,6 +527,23 @@ class TestDense:
             layers.dense(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
 
 
+def _reduce_mean(x, g):
+    """Forward and rule of the axis-general mean reduction the average pool
+    replaced, over axis 1."""
+    kept = (x.shape[0], 1, x.shape[2])
+    d_x = np.broadcast_to(g.reshape(kept) / x.shape[1], x.shape).astype(g.dtype, copy=True)
+    return x.mean(axis=(1,)), d_x
+
+
+def _reduce_max(x, g):
+    """Forward and argmax rule of the axis-general max reduction the max pool
+    replaced, over axis 1."""
+    d_x = np.zeros(x.shape, dtype=g.dtype)
+    argmax = np.argmax(x, axis=1)
+    np.put_along_axis(d_x, np.expand_dims(argmax, 1), np.expand_dims(g, 1), axis=1)
+    return x.max(axis=1), d_x
+
+
 class TestPooling:
     def test_global_max_pool_dominates(self):
         rng = np.random.default_rng(14)
@@ -545,3 +572,33 @@ class TestPooling:
         np.testing.assert_allclose(
             layers.global_avg_pool_time(x).data, x.data.mean(axis=1)
         )
+
+    @pytest.mark.parametrize("pool", [layers.global_avg_pool_time, layers.global_max_pool_time],
+                             ids=["global_avg_pool_time", "global_max_pool_time"])
+    def test_empty_time_axis_rejected(self, pool):
+        with pytest.raises(ShapeError, match="empty time axis"):
+            pool(t(np.zeros((2, 0, 3))))
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "pool, oracle",
+        [(layers.global_avg_pool_time, _reduce_mean), (layers.global_max_pool_time, _reduce_max)],
+        ids=["avg", "max"],
+    )
+    def test_matches_reduction_oracle_bitwise(self, pool, oracle, dtype, batch):
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, 23, 7)).astype(dtype)
+        # small integers in half the channels: many tied maxima
+        x[:, :, ::2] = rng.integers(-2, 3, size=x[:, :, ::2].shape)
+        g = rng.standard_normal((batch, 7)).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        with ComputationTape() as tape:
+            out = pool(xt)
+        (d_x,) = tape.nodes[0].rule(g)
+        want_out, want_dx = oracle(x, g)
+        for got, want in ((out.data, want_out), (d_x, want_dx)):
+            # the memory layout too: the next node's sums follow it
+            assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+            assert got.tobytes() == want.tobytes()
+

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from papernet import checks
 from papernet.errors import ShapeError
 from papernet.model import (
     VARIANTS,
@@ -10,6 +11,7 @@ from papernet.model import (
     forward,
 )
 from papernet.tensor import ComputationTape
+from papernet.training import weighted_cross_entropy
 
 EXPECTED_SHAPE_CHAIN = [
     ("conv_block1", (16, 32)),
@@ -188,3 +190,28 @@ class TestVariantsForward:
             forward(m, batch(4), mode="train")
         probs = forward(m, batch(4), mode="train", rng=np.random.default_rng(0))
         assert probs.shape == (4, 4)
+
+
+def test_every_node_of_a_train_step_is_gradchecked(monkeypatch):
+    """Each node name a train step records, in every variant, is also
+    recorded by some layer-level finite-difference check."""
+    checked = set()
+    record = ComputationTape.record
+
+    def spy(self, name, *args):
+        checked.add(name)
+        record(self, name, *args)
+
+    monkeypatch.setattr(ComputationTape, "record", spy)
+    for name, check in checks.SUITE.items():
+        if not name.startswith("model_"):
+            check()
+    monkeypatch.undo()
+    for variant in VARIANTS:
+        model = build_papernet(variant=variant, seed=0)
+        rng = np.random.default_rng(0)
+        with ComputationTape() as tape:
+            probs = forward(model, batch(8), mode="train", rng=rng)
+            weighted_cross_entropy(probs, np.eye(4)[np.arange(8) % 4], None, model, 1e-4)
+        unchecked = {node.name for node in tape.nodes} - checked
+        assert not unchecked, f"{variant} records nodes no check covers: {sorted(unchecked)}"

@@ -105,8 +105,9 @@ def test_b64_train_step_records_nineteen_tape_nodes():
                                               model, 1e-4))
     block = ["conv1d_same", "relu", "batchnorm"]
     assert [node.name for node in tape.nodes] == [
-        *block, *block, "maxpool1d", *block, "se_residual_attention", "bilstm", "reduce_max",
-        "dense", "relu", "dropout", "dense", "softmax_lastaxis", "weighted_cross_entropy",
+        *block, *block, "maxpool1d", *block, "se_residual_attention", "bilstm",
+        "global_max_pool_time", "dense", "relu", "dropout", "dense", "softmax_lastaxis",
+        "weighted_cross_entropy",
     ]
 
 
