@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from papernet.errors import NonFiniteError, ShapeError, TapeError
-from papernet.layers import dense
+from papernet.layers import dense, global_avg_pool_time, global_max_pool_time
 from papernet.tensor import (
     ComputationTape,
     Tensor,
@@ -75,6 +75,27 @@ class TestActivations:
         ones, zero = Tensor(np.ones((2, 1), dtype=dtype)), Tensor(np.zeros(1, dtype=dtype))
         with pytest.raises(NonFiniteError, match="dense"):
             dense(x, ones, zero)
+
+
+class TestReductions:
+    """The time reductions of the model head, run end to end through backward."""
+
+    def test_mean_axis0(self):
+        # [1, T=2, C=2]: the mean runs over the time axis
+        out = global_avg_pool_time(t64([[[1.0, 3.0], [5.0, 7.0]]]))
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
+
+    def test_max_first_tie_gets_gradient(self):
+        x = t64([[[1.0], [9.0], [9.0], [2.0]]], requires_grad=True)
+        with ComputationTape() as tape:
+            out = global_max_pool_time(x)
+            backward(tape, out)
+        assert out.item() == 9.0
+        np.testing.assert_array_equal(x.grad, [[[0.0], [1.0], [0.0], [0.0]]])
+
+    def test_mean_empty_axis_errors(self):
+        with pytest.raises(ShapeError):
+            global_avg_pool_time(Tensor(np.zeros((1, 0, 1))))
 
 
 def dense_sum(x):
