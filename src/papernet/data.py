@@ -411,22 +411,19 @@ def crc64(data) -> int:
 
 
 def save_weights(model: ModelGraph, path) -> None:
-    """Serialize all parameters (running stats included) as float32,
-    through :func:`atomic_open`."""
+    """Serialize all parameters (running stats included) as float32: the
+    body is the model's buffer, written through :func:`atomic_open`."""
     entries = []
-    blobs = []
-    offset = 0
     for name, tensor in model.params.items():
-        raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
+        start = tensor.home[1]
         entries.append(
-            {"name": name, "shape": list(tensor.shape), "offset": offset, "len": len(raw)}
+            {"name": name, "shape": list(tensor.shape), "offset": 4 * start, "len": 4 * tensor.size}
         )
-        blobs.append(raw)
-        offset += len(raw)
     header = json.dumps(
         {"version": WEIGHT_VERSION, "variant": model.variant, "tensors": entries}
     ).encode("utf-8")
-    body = WEIGHT_MAGIC + struct.pack("<Q", len(header)) + header + b"".join(blobs)
+    raw = np.ascontiguousarray(model.flat.data, dtype="<f4").tobytes()
+    body = WEIGHT_MAGIC + struct.pack("<Q", len(header)) + header + raw
     blob = body + struct.pack("<Q", crc64(body))
     with atomic_open(path, "wb") as fh:
         fh.write(blob)
@@ -486,7 +483,7 @@ def _is_count(value) -> bool:
 def load_weights(path, model: ModelGraph | None = None,
                  input_length: int = NUM_CHANNELS) -> ModelGraph:
     """Restore parameters from a weight file, copied into the model's
-    existing arrays.
+    buffer in one call once every tensor has passed its checks.
 
     With ``model``, the file must match it tensor for tensor (the first
     offending name is reported). Without one, a fresh graph is built from
@@ -521,9 +518,9 @@ def load_weights(path, model: ModelGraph | None = None,
         raise WeightFormatError(
             f"{path}: variant mismatch: file {header['variant']!r}, model {model.variant!r}"
         )
-    for name, param in model.params.items():
-        stored = tensors[name]
-        if not np.all(np.isfinite(stored)):
-            raise WeightFormatError(f"{path}: non-finite values in tensor {name!r}")
-        np.copyto(param.data, stored)
+    stacked = np.concatenate([tensors[name].reshape(-1) for name in model.params])
+    if not np.isfinite(stacked).all():
+        name = next(n for n in model.params if not np.isfinite(tensors[n]).all())
+        raise WeightFormatError(f"{path}: non-finite values in tensor {name!r}")
+    np.copyto(model.flat.data, stacked)
     return model

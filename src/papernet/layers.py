@@ -2,8 +2,8 @@
 bidirectional LSTM, dropout, and dense projections.
 
 Sequence layers take batched [B, T, C] tensors only; dense and dropout
-act on [B, F]. The convolution is one GEMM over im2col patches, taken as a
-``sliding_window_view`` of a zero-padded copy of the input. Every layer
+act on [B, F]. The convolution is one GEMM over im2col patches, the k
+shifted slices of a zero-padded copy of the input side by side. Every layer
 records one tape node per call (infer-mode dropout, the identity, records
 none), so its backward rule is written by hand and covered by the gradient
 checks: convolution, max pooling, batch norm, the squeeze-and-excitation
@@ -64,11 +64,12 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     pad = k // 2
     xp = np.zeros((batch, length + 2 * pad, c_in), dtype=xd.dtype)
     xp[:, pad : pad + length] = xd
-    # patches[b, t, i, c] = padded input at time t + i - pad, copied into
-    # one contiguous im2col matrix: at B = 1 a plain reshape returns an
-    # overlapping view, which matmul sums in another order
-    patches = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2)
-    flat = np.ascontiguousarray(patches).reshape(batch * length, k * c_in)
+    # the contiguous im2col matrix: row (b, t), column i * Cin + c holds
+    # the padded input at time t + i - pad, built by one concatenate of the
+    # k shifted slices (an overlapping strided view instead would be summed
+    # by matmul in another order at B = 1)
+    flat = np.concatenate([xp[:, i : i + length] for i in range(k)], axis=2)
+    flat = flat.reshape(batch * length, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
     out = flat @ w2d
     out += bias.data
@@ -97,15 +98,20 @@ def _window_max(xd: np.ndarray, pool: int):
 
     def rule(g):
         # the first step equal to its window's max takes the gradient, as
-        # argmax would pick it on ties
-        d_x = np.zeros_like(xd)
-        d_win = d_x[:, : t_out * pool].reshape(windows.shape)  # a view
+        # argmax would pick it on ties. Each step is written whole, as the
+        # bits of g ANDed with an all-ones or all-zeros mask: +0.0 where the
+        # step lost, g's exact bits (-0.0 included) where it won
+        ints = np.dtype(f"i{xd.itemsize}")
+        d_x = np.empty(xd.shape, dtype=xd.dtype)
+        d_x[:, t_out * pool :] = 0  # steps past the last whole window
+        d_win = d_x[:, : t_out * pool].reshape(windows.shape).view(ints)  # a view
+        g_bits = g.view(ints)
         free = np.ones(out.shape, dtype=bool)
         for i in range(pool):
             hit = windows[:, :, i] == out
             hit &= free
-            np.copyto(d_win[:, :, i], g, where=hit)
-            free &= ~hit
+            free ^= hit
+            np.bitwise_and(g_bits, np.negative(hit.view(np.int8)), out=d_win[:, :, i])
         return (d_x,)
 
     return out, rule
@@ -154,8 +160,9 @@ def batchnorm(
         mean = xd.mean(axis=(0, 1))
         centered = xd - mean
         var = (centered * centered).mean(axis=(0, 1))
-        running_mean.data = momentum * running_mean.data + (1.0 - momentum) * mean
-        running_var.data = momentum * running_var.data + (1.0 - momentum) * var
+        # written into the arrays, which are views of the model's buffer
+        running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mean
+        running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
     else:
         centered = xd - running_mean.data
         var = running_var.data

@@ -5,6 +5,13 @@ MaxPool2 -> Conv(128,k3)+ReLU+BN -> SE residual attention -> BiLSTM ->
 global max pool -> Dense(128)+ReLU -> Dropout -> Dense(K)+Softmax.
 Variants: no_attention drops the SE block, no_lstm swaps the recurrent
 aggregator for global average pooling, no_residual scales without the skip.
+
+The parameters, running statistics included, live in one
+:class:`~papernet.tensor.ParamBuffer` in ``params`` order, which is also
+the order of a ``PNW1`` weight file's body: copying a model, saving or
+loading its weights and an Adam step each act on that one array. A model
+gets a gradient array only once it receives a gradient, so copies and
+loaded models carry none.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 from .dsp import NUM_CHANNELS
 from .errors import ShapeError
 from . import layers
-from .tensor import Tensor, relu, softmax_lastaxis
+from .tensor import ParamBuffer, Tensor, relu, softmax_lastaxis
 
 VARIANTS = ("full", "no_attention", "no_lstm", "no_residual")
 
@@ -29,7 +36,8 @@ DENSE_WIDTH = 128
 
 @dataclass
 class ModelGraph:
-    """Assembled network: variant tag plus named parameter tensors."""
+    """Assembled network: variant tag plus named parameter tensors, which
+    are views of ``flat``."""
 
     variant: str
     num_classes: int
@@ -37,6 +45,7 @@ class ModelGraph:
     dropout_p: float = 0.3
     dtype: np.dtype = np.float32
     params: dict[str, Tensor] = field(default_factory=dict)
+    flat: ParamBuffer | None = None
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if v.requires_grad}
@@ -51,20 +60,20 @@ class ModelGraph:
         ]
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.flat.zero_grad()
 
     def copy(self) -> "ModelGraph":
-        clone = ModelGraph(
+        """A detached copy: one copy of the buffer, no gradients."""
+        flat = self.flat.copy()
+        return ModelGraph(
             variant=self.variant,
             num_classes=self.num_classes,
             input_length=self.input_length,
             dropout_p=self.dropout_p,
             dtype=self.dtype,
+            params=dict(zip(self.params, flat.tensors)),
+            flat=flat,
         )
-        for name, p in self.params.items():
-            clone.params[name] = Tensor(p.data.copy(), requires_grad=p.requires_grad)
-        return clone
 
 
 def _glorot(rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -150,6 +159,7 @@ def build_papernet(
         _glorot(rng, (DENSE_WIDTH, num_classes), fan_in=DENSE_WIDTH, fan_out=num_classes, dtype=dtype),
     )
     param("dense2.bias", np.zeros(num_classes))
+    model.flat = ParamBuffer(p.values())
     return model
 
 

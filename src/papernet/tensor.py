@@ -1,4 +1,5 @@
-"""Minimal dense tensor with tape-based reverse-mode differentiation.
+"""Minimal dense tensor with tape-based reverse-mode differentiation, and
+the flat buffer a model's parameters live in.
 
 Training runs in float32; gradient checks run in float64. Every operation
 validates that its output is finite (one ``np.isfinite(...).all()``, exact
@@ -15,6 +16,14 @@ such state from its forward asks :func:`_recording` first, so a forward
 outside a tape builds none of it. :func:`backward` drops each node's rule
 and inputs once it has used them, so a consumed tape no longer holds the
 step's intermediates.
+
+A :class:`ParamBuffer` holds a set of parameter tensors back to back in one
+contiguous array: each tensor's ``data`` is a view of it, and the first
+gradient a tensor receives is copied into its view of a matching gradient
+array, which the buffer allocates when the first gradient arrives. The
+optimizer then updates the whole buffer at once. A parameter that has
+received no gradient keeps ``grad is None``, and its slot of the gradient
+array holds zeros.
 """
 
 from __future__ import annotations
@@ -27,9 +36,10 @@ from .errors import NonFiniteError, ShapeError, TapeError
 
 
 class Tensor:
-    """Dense array with an optional gradient buffer."""
+    """Dense array with an optional gradient. ``home`` is the
+    (:class:`ParamBuffer`, start) a parameter's data lives at, else None."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "home")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -38,6 +48,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self.home: tuple[ParamBuffer, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,19 +72,76 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
+        if self.home is not None and self.grad is not None:
+            self.grad.fill(0)  # the buffer's slot holds zeros while grad is None
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match data shape {self.shape}")
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self.home is None:
             self.grad = g.astype(self.data.dtype, copy=True)
         else:
-            self.grad += g
+            buffer, start = self.home
+            self.grad = buffer.grad_array()[start : start + self.size].reshape(self.shape)
+            np.copyto(self.grad, g)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
+
+
+class ParamBuffer:
+    """Parameter tensors stored back to back in one contiguous array.
+
+    ``data`` is the whole array, in the order of ``tensors``; ``grad`` is the
+    matching gradient array, None until a tensor receives a gradient. A
+    tensor's ``grad`` is then its view of ``grad``, so gradients reach the
+    buffer only through :meth:`Tensor.accumulate_grad`, never by assigning
+    ``grad``.
+    """
+
+    __slots__ = ("data", "grad", "tensors")
+
+    def __init__(self, tensors: Sequence[Tensor], data: np.ndarray | None = None):
+        """Rebind each tensor's ``data`` to its view of one array: a new
+        array holding their current values, or ``data`` itself when given."""
+        self.tensors = tuple(tensors)
+        if data is None:
+            data = np.concatenate([t.data.reshape(-1) for t in self.tensors])
+        self.data, self.grad = data, None
+        start = 0
+        for t in self.tensors:
+            t.data, t.home = data[start : start + t.size].reshape(t.shape), (self, start)
+            start += t.size
+
+    def copy(self) -> "ParamBuffer":
+        """New tensors over one copy of the data, with no gradient array."""
+        clones = [Tensor(t.data, requires_grad=t.requires_grad) for t in self.tensors]
+        return ParamBuffer(clones, self.data.copy())
+
+    def grad_array(self) -> np.ndarray:
+        """The gradient array, allocated as zeros on first use."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        return self.grad
+
+    def zero_grad(self) -> None:
+        """One fill of the gradient array; every tensor's ``grad`` is None."""
+        if self.grad is not None:
+            self.grad.fill(0)
+        for t in self.tensors:
+            t.grad = None
+
+
+def buffer_of(tensors) -> ParamBuffer:
+    """The one :class:`ParamBuffer` every tensor in ``tensors`` lives in."""
+    homes = {t.home[0] if t.home else None for t in tensors}
+    if len(homes) != 1 or None in homes:
+        raise ValueError("the tensors must all live in one ParamBuffer")
+    return homes.pop()
 
 
 class _TapeNode:

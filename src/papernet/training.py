@@ -2,7 +2,8 @@
 
 Training: weighted cross-entropy with an L2 penalty (one fused tape node,
 :func:`weighted_cross_entropy`), Adam, checkpointing, and per-epoch history
-logging. One stall counter (:class:`Plateau`) on validation macro-F1 drives
+logging. Adam updates the model's whole parameter buffer in one pass of
+numpy calls, with flat moments and scratch space kept between steps. One stall counter (:class:`Plateau`) on validation macro-F1 drives
 both reduce-on-plateau and early stopping. Inference: :func:`infer_batches`
 runs the infer-mode forward ``INFER_BATCH`` rows at a time for
 :func:`predict_probs` and :func:`export_attention`.
@@ -22,7 +23,7 @@ from .dsp import NUM_CHANNELS
 from .errors import ConfigError, DataError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
 from .model import CONV_WIDTHS, ModelGraph, forward
-from .tensor import ComputationTape, Tensor, _make_output, backward
+from .tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward, buffer_of
 
 IMPROVEMENT_DELTA = 1e-4
 LOG_FLOOR = 1e-12
@@ -68,8 +69,14 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's moments for every slot of one :class:`ParamBuffer`, flat like
+    it, plus the scratch space the update reuses from step to step: two rows
+    of half the buffer's length."""
+
+    flat: ParamBuffer
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -77,32 +84,57 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
+        flat = buffer_of(params.values())
+        half = -(-flat.data.size // 2)
         return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
+            flat,
+            np.zeros_like(flat.data),
+            np.zeros_like(flat.data),
+            np.empty((2, half), dtype=flat.data.dtype),
         )
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One Adam update: m, v moments with bias correction."""
+    """One Adam update, m and v moments with bias correction, of the whole
+    buffer ``params`` live in.
+
+    Slots that received no gradient read as a zero gradient: their moments
+    decay, and where both are still 0 (the running statistics) the update
+    is exactly 0. A non-finite gradient aborts before any state changes and
+    names the first parameter that holds one.
+    """
+    flat = state.flat
+    grad = flat.grad_array()
+    if not np.isfinite(grad).all():
+        name = next(
+            (n for n, p in params.items() if p.grad is not None and not np.isfinite(p.grad).all()),
+            "a slot outside params",
+        )
+        raise TrainingError(f"non-finite gradient for {name}")
     state.t += 1
-    correct1 = 1.0 - state.beta1**state.t
-    correct2 = 1.0 - state.beta2**state.t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+    beta1, beta2 = state.beta1, state.beta2
+    correct1 = 1.0 - beta1**state.t
+    correct2 = 1.0 - beta2**state.t
+    half = state.scratch.shape[1]
+    # in two halves, so the scratch rows span half the buffer and each
+    # half's arrays stay in cache across the passes; the per-element
+    # operations and their order are those of
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    for lo in (0, half):
+        g, m, v, p = (a[lo : lo + half] for a in (grad, state.m, state.v, flat.data))
+        a, b = state.scratch[:, : len(g)]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, correct1, out=b)
+        b *= lr
+        b /= a
+        p -= b
 
 
 def weighted_cross_entropy(

@@ -231,6 +231,50 @@ class TestMaxPool:
         np.testing.assert_array_equal(d_x, expected)
 
 
+def _masked_copy_window_max_rule(x, pool, g):
+    """Oracle: the first-max rule as one masked copy of g per window step
+    into zeros, the form the layer used before it wrote whole steps."""
+    batch, length, channels = x.shape
+    t_out = length // pool
+    windows = x[:, : t_out * pool].reshape(batch, t_out, pool, channels)
+    out = windows.max(axis=2)
+    d_x = np.zeros_like(x)
+    d_win = d_x[:, : t_out * pool].reshape(windows.shape)
+    free = np.ones(out.shape, dtype=bool)
+    for i in range(pool):
+        hit = windows[:, :, i] == out
+        hit &= free
+        np.copyto(d_win[:, :, i], g, where=hit)
+        free &= ~hit
+    return d_x
+
+
+class TestWindowMaxRuleOracle:
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", ["2", "T", "global"])
+    def test_matches_masked_copy_bytewise(self, pool, dtype, batch):
+        rng = np.random.default_rng(batch + len(pool))
+        x = rng.integers(-2, 3, size=(batch, 17, 9)).astype(dtype)  # ties everywhere
+        x[:, :, ::3] = rng.standard_normal(x[:, :, ::3].shape)
+        width = 17 if pool != "2" else 2
+        g = rng.standard_normal((batch, 17 // width, 9)).astype(dtype)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        g[rng.random(g.shape) < 0.1] = 0.0
+        g[:, :, 1] = -0.0
+        xt = Tensor(x, requires_grad=True)
+        with ComputationTape() as tape:
+            if pool == "global":
+                layers.global_max_pool_time(xt)
+            else:
+                layers.maxpool1d(xt, pool=width)
+        (d_x,) = tape.nodes[0].rule(g[:, 0] if pool == "global" else g)
+        want = _masked_copy_window_max_rule(x, width, g)
+        assert (d_x.dtype, d_x.shape, d_x.strides) == (want.dtype, want.shape, want.strides)
+        assert d_x.tobytes() == want.tobytes()
+        assert (np.signbit(d_x) & (d_x == 0)).any()  # a -0.0 reached a maximum
+
+
 class TestBatchNorm:
     def _params(self, c):
         return (

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import papernet.training as training_mod
-from papernet.data import stratified_split
+from papernet.data import load_weights, save_weights, stratified_split
 from papernet.errors import ConfigError, TrainingError
 from papernet.model import build_papernet, forward
-from papernet.tensor import ComputationTape, Tensor, backward, softmax_lastaxis
+from papernet.tensor import ComputationTape, ParamBuffer, Tensor, backward, softmax_lastaxis
 from papernet.training import (
     AdamState,
     Plateau,
@@ -111,18 +111,81 @@ def test_b64_train_step_records_nineteen_tape_nodes():
     ]
 
 
+def assert_views_of_buffers(model):
+    """Each parameter's data, and any gradient, is its slice of the model's
+    buffers, the slices back to back in ``params`` order."""
+    flat = model.flat
+    start = 0
+    for name, p in model.params.items():
+        assert p.home == (flat, start), name
+        for arr, buf in ((p.data, flat.data), (p.grad, flat.grad)):
+            if arr is None:
+                continue
+            assert arr.base is buf, name
+            offset = arr.__array_interface__["data"][0] - buf.__array_interface__["data"][0]
+            assert offset == start * buf.itemsize, name
+        start += p.size
+    assert start == flat.data.size and flat.data.dtype == model.dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_parameters_stay_views_of_the_flat_buffers(tmp_path, dtype):
+    model = build_papernet(seed=3, dtype=dtype)
+    assert_views_of_buffers(model)
+    assert model.flat.grad is None
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 16, 1)).astype(dtype)
+    with ComputationTape() as tape:
+        probs = forward(model, x, mode="train", rng=rng)
+        backward(tape, weighted_cross_entropy(probs, np.eye(4)[np.arange(16) % 4], None,
+                                              model, 1e-4))
+    assert model.flat.grad is not None
+    assert all(p.grad is not None for p in model.trainable().values())
+    assert_views_of_buffers(model)
+    # the forward moved the running statistics, in place; Adam leaves them be
+    stats = {k: p.data.copy() for k, p in model.params.items() if not p.requires_grad}
+    adam_step(model.trainable(), AdamState.for_params(model.trainable()), 1e-3)
+    for name, before in stats.items():
+        assert model.params[name].data.tobytes() == before.tobytes(), name
+    assert_views_of_buffers(model)
+    model.zero_grad()
+    assert not model.flat.grad.any() and all(p.grad is None for p in model.params.values())
+
+    clone = model.copy()
+    assert_views_of_buffers(clone)
+    assert clone.flat.grad is None and not np.shares_memory(clone.flat.data, model.flat.data)
+    assert clone.flat.data.tobytes() == model.flat.data.tobytes()
+
+    save_weights(model, tmp_path / "w")
+    for loaded in (load_weights(tmp_path / "w"), load_weights(tmp_path / "w", clone)):
+        assert_views_of_buffers(loaded)
+        assert loaded.flat.grad is None
+
+    features, labels = make_synthetic(n=120, seed=1)
+    best, final, _ = train(model, features, labels, stratified_split(labels, seed=0),
+                           TrainConfig(batch_size=32, max_epochs=1, seed=2))
+    for trained in (model, best, final):
+        assert_views_of_buffers(trained)
+
+
+def packed_param(values, grad):
+    """A one-tensor parameter dict in its own buffer, holding ``grad``."""
+    p = {"w": Tensor(np.asarray(values), requires_grad=True)}
+    ParamBuffer(p.values())
+    p["w"].accumulate_grad(np.asarray(grad))
+    return p
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-        p["w"].grad = np.array([1.0], dtype=np.float32)
+        p = packed_param([1.0], np.array([1.0], dtype=np.float32))
         state = AdamState.for_params(p)
         adam_step(p, state, lr=1e-3)
         delta = p["w"].data[0] - 1.0
         assert delta == pytest.approx(-1e-3 / (1.0 + 1e-7), rel=1e-5)
 
     def test_zero_gradient_fixed_point(self):
-        p = {"w": Tensor(np.array([2.5, -1.0]), requires_grad=True)}
-        p["w"].grad = np.zeros(2, dtype=np.float32)
+        p = packed_param([2.5, -1.0], np.zeros(2, dtype=np.float32))
         adam_step(p, AdamState.for_params(p), lr=1e-3)
         np.testing.assert_array_equal(p["w"].data, [2.5, -1.0])
 
@@ -131,7 +194,7 @@ class TestAdam:
         g, lr, b1, b2, eps = 0.7, 1e-3, 0.9, 0.999, 1e-7
         m = v = 0.0
         theta_expected = 5.0
-        p = {"w": Tensor(np.array([5.0], dtype=np.float64), requires_grad=True)}
+        p = packed_param(np.array([5.0], dtype=np.float64), [g])
         state = AdamState.for_params(p)
         for t in range(1, 11):
             m = b1 * m + (1 - b1) * g
@@ -140,15 +203,13 @@ class TestAdam:
             v_hat = v / (1 - b2**t)
             step = lr * m_hat / (np.sqrt(v_hat) + eps)
             theta_expected -= step
-            p["w"].grad = np.array([g])
             adam_step(p, state, lr)
             assert p["w"].data[0] == pytest.approx(theta_expected, rel=1e-12)
             # constant gradient: per-step move approaches lr * sign(g)
             assert step == pytest.approx(lr, rel=1e-3)
 
     def test_non_finite_gradient_aborts(self):
-        p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-        p["w"].grad = np.array([np.inf], dtype=np.float32)
+        p = packed_param([1.0], np.array([np.inf], dtype=np.float32))
         with pytest.raises(TrainingError, match="w"):
             adam_step(p, AdamState.for_params(p), lr=1e-3)
 
