@@ -60,19 +60,23 @@ class ModelGraph:
         ]
 
     def zero_grad(self) -> None:
-        self.flat.zero_grad()
+        """One fill of the gradient array; every ``grad`` becomes None."""
+        if self.flat.grad is not None:
+            self.flat.grad.fill(0)
+        for p in self.params.values():
+            p.grad = None
 
     def copy(self) -> "ModelGraph":
         """A detached copy: one copy of the buffer, no gradients."""
-        flat = self.flat.copy()
+        params = {k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in self.params.items()}
         return ModelGraph(
             variant=self.variant,
             num_classes=self.num_classes,
             input_length=self.input_length,
             dropout_p=self.dropout_p,
             dtype=self.dtype,
-            params=dict(zip(self.params, flat.tensors)),
-            flat=flat,
+            params=params,
+            flat=ParamBuffer(params.values(), self.flat.data.copy()),
         )
 
 

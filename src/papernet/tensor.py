@@ -96,52 +96,32 @@ class Tensor:
 class ParamBuffer:
     """Parameter tensors stored back to back in one contiguous array.
 
-    ``data`` is the whole array, in the order of ``tensors``; ``grad`` is the
-    matching gradient array, None until a tensor receives a gradient. A
-    tensor's ``grad`` is then its view of ``grad``, so gradients reach the
-    buffer only through :meth:`Tensor.accumulate_grad`, never by assigning
-    ``grad``.
+    ``data`` is the whole array; ``grad`` is the matching gradient array,
+    None until a tensor receives a gradient. A tensor's ``grad`` is then its
+    view of ``grad``, so gradients reach the buffer only through
+    :meth:`Tensor.accumulate_grad`, never by assigning ``grad``. The buffer
+    keeps no reference to its tensors: without a cycle, a dropped model's
+    arrays are freed at once rather than at the next garbage collection.
     """
 
-    __slots__ = ("data", "grad", "tensors")
+    __slots__ = ("data", "grad")
 
     def __init__(self, tensors: Sequence[Tensor], data: np.ndarray | None = None):
-        """Rebind each tensor's ``data`` to its view of one array: a new
-        array holding their current values, or ``data`` itself when given."""
-        self.tensors = tuple(tensors)
+        """Rebind each tensor's ``data`` to its view of one array, in order:
+        a new array holding their current values, or ``data`` itself."""
         if data is None:
-            data = np.concatenate([t.data.reshape(-1) for t in self.tensors])
+            data = np.concatenate([t.data.reshape(-1) for t in tensors])
         self.data, self.grad = data, None
         start = 0
-        for t in self.tensors:
+        for t in tensors:
             t.data, t.home = data[start : start + t.size].reshape(t.shape), (self, start)
             start += t.size
-
-    def copy(self) -> "ParamBuffer":
-        """New tensors over one copy of the data, with no gradient array."""
-        clones = [Tensor(t.data, requires_grad=t.requires_grad) for t in self.tensors]
-        return ParamBuffer(clones, self.data.copy())
 
     def grad_array(self) -> np.ndarray:
         """The gradient array, allocated as zeros on first use."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         return self.grad
-
-    def zero_grad(self) -> None:
-        """One fill of the gradient array; every tensor's ``grad`` is None."""
-        if self.grad is not None:
-            self.grad.fill(0)
-        for t in self.tensors:
-            t.grad = None
-
-
-def buffer_of(tensors) -> ParamBuffer:
-    """The one :class:`ParamBuffer` every tensor in ``tensors`` lives in."""
-    homes = {t.home[0] if t.home else None for t in tensors}
-    if len(homes) != 1 or None in homes:
-        raise ValueError("the tensors must all live in one ParamBuffer")
-    return homes.pop()
 
 
 class _TapeNode:

@@ -23,7 +23,7 @@ from .dsp import NUM_CHANNELS
 from .errors import ConfigError, DataError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
 from .model import CONV_WIDTHS, ModelGraph, forward
-from .tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward, buffer_of
+from .tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward
 
 IMPROVEMENT_DELTA = 1e-4
 LOG_FLOOR = 1e-12
@@ -71,7 +71,7 @@ class TrainConfig:
 class AdamState:
     """Adam's moments for every slot of one :class:`ParamBuffer`, flat like
     it, plus the scratch space the update reuses from step to step: two rows
-    of half the buffer's length."""
+    of half the buffer's length, as the update runs in two chunks."""
 
     flat: ParamBuffer
     m: np.ndarray
@@ -84,7 +84,11 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
-        flat = buffer_of(params.values())
+        """State for the one buffer every tensor in ``params`` lives in."""
+        homes = {p.home[0] if p.home else None for p in params.values()}
+        if len(homes) != 1 or None in homes:
+            raise ValueError("Adam needs parameters that all live in one ParamBuffer")
+        flat = homes.pop()
         half = -(-flat.data.size // 2)
         return cls(
             flat,
@@ -115,26 +119,25 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     beta1, beta2 = state.beta1, state.beta2
     correct1 = 1.0 - beta1**state.t
     correct2 = 1.0 - beta2**state.t
-    half = state.scratch.shape[1]
-    # in two halves, so the scratch rows span half the buffer and each
-    # half's arrays stay in cache across the passes; the per-element
-    # operations and their order are those of
-    # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-    for lo in (0, half):
-        g, m, v, p = (a[lo : lo + half] for a in (grad, state.m, state.v, flat.data))
-        a, b = state.scratch[:, : len(g)]
+    chunk = state.scratch.shape[1]
+    # chunk by chunk, so the scratch rows span one chunk and a chunk's
+    # arrays stay in cache across the passes; the per-element operations
+    # and their order are those of p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    for lo in range(0, grad.size, chunk):
+        g, m, v, p = (arr[lo : lo + chunk] for arr in (grad, state.m, state.v, flat.data))
+        tmp, step = state.scratch[:, : len(g)]
         m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
         v *= beta2
-        np.multiply(g, 1.0 - beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(v, correct2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        np.divide(m, correct1, out=b)
-        b *= lr
-        b /= a
-        p -= b
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        denom = np.divide(v, correct2, out=tmp)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, correct1, out=step)
+        step *= lr
+        step /= denom
+        p -= step
 
 
 def weighted_cross_entropy(

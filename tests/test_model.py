@@ -119,7 +119,7 @@ class TestForwardDeterminism:
         for i in (1, 2, 3):
             for name in ("gamma", "beta", "running_mean", "running_var"):
                 p = m.params[f"bn{i}.{name}"]
-                p.data = rng.uniform(0.5, 2.0, size=p.shape).astype(dtype)
+                p.data[...] = rng.uniform(0.5, 2.0, size=p.shape)
         x = batch(37, seed=14).astype(dtype)
         with_attention = variant != "no_attention"
         untaped = forward(m, x, return_attention=with_attention)

@@ -208,6 +208,13 @@ class TestAdam:
             # constant gradient: per-step move approaches lr * sign(g)
             assert step == pytest.approx(lr, rel=1e-3)
 
+    def test_tensors_outside_one_buffer_rejected(self):
+        loose = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+        with pytest.raises(ValueError, match="one ParamBuffer"):
+            AdamState.for_params(loose)
+        with pytest.raises(ValueError, match="one ParamBuffer"):
+            AdamState.for_params({**packed_param([1.0], [0.0]), "u": packed_param([2.0], [0.0])["w"]})
+
     def test_non_finite_gradient_aborts(self):
         p = packed_param([1.0], np.array([np.inf], dtype=np.float32))
         with pytest.raises(TrainingError, match="w"):
