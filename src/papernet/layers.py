@@ -2,8 +2,8 @@
 bidirectional LSTM, dropout, and dense projections.
 
 Sequence layers take batched [B, T, C] tensors only; dense and dropout
-act on [B, F]. The convolution is one GEMM over im2col patches, the k
-shifted slices of a zero-padded copy of the input side by side. Every layer
+act on [B, F]. The convolution is one GEMM over im2col patches, each the
+k consecutive rows of a zero-padded copy of the input. Every layer
 records one tape node per call (infer-mode dropout, the identity, records
 none), so its backward rule is written by hand and covered by the gradient
 checks: convolution, max pooling, batch norm, the squeeze-and-excitation
@@ -64,12 +64,16 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     pad = k // 2
     xp = np.zeros((batch, length + 2 * pad, c_in), dtype=xd.dtype)
     xp[:, pad : pad + length] = xd
-    # the contiguous im2col matrix: row (b, t), column i * Cin + c holds
-    # the padded input at time t + i - pad, built by one concatenate of the
-    # k shifted slices (an overlapping strided view instead would be summed
-    # by matmul in another order at B = 1)
-    flat = np.concatenate([xp[:, i : i + length] for i in range(k)], axis=2)
-    flat = flat.reshape(batch * length, k * c_in)
+    # the im2col matrix: row (b, t), column i * Cin + c holds the padded
+    # input at time t + i - pad. Rows t .. t + k - 1 of xp are k * Cin
+    # contiguous values, so each row is one run of a read-only strided view,
+    # copied into a contiguous matrix (matmul would sum the overlapping view
+    # itself in another order at B = 1)
+    s_batch, s_time, s_chan = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (batch, length, k * c_in), (s_batch, s_time, s_chan), writeable=False
+    )
+    flat = np.ascontiguousarray(windows).reshape(batch * length, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
     out = flat @ w2d
     out += bias.data
