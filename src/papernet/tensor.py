@@ -17,13 +17,10 @@ outside a tape builds none of it. :func:`backward` drops each node's rule
 and inputs once it has used them, so a consumed tape no longer holds the
 step's intermediates.
 
-A :class:`ParamBuffer` holds a set of parameter tensors back to back in one
-contiguous array: each tensor's ``data`` is a view of it, and the first
-gradient a tensor receives is copied into its view of a matching gradient
-array, which the buffer allocates when the first gradient arrives. The
-optimizer then updates the whole buffer at once. A parameter that has
-received no gradient keeps ``grad is None``, and its slot of the gradient
-array holds zeros.
+A :class:`ParamBuffer` holds parameter tensors back to back in one array,
+with a matching gradient array made at the first gradient, so the optimizer
+updates them all at once. A parameter that has received no gradient keeps
+``grad is None``, and its slot of the gradient array holds zeros.
 """
 
 from __future__ import annotations

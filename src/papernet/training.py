@@ -2,10 +2,11 @@
 
 Training: weighted cross-entropy with an L2 penalty (one fused tape node,
 :func:`weighted_cross_entropy`), Adam, checkpointing, and per-epoch history
-logging. Adam updates the model's whole parameter buffer in one pass of
-numpy calls, with flat moments and scratch space kept between steps. One stall counter (:class:`Plateau`) on validation macro-F1 drives
-both reduce-on-plateau and early stopping. Inference: :func:`infer_batches`
-runs the infer-mode forward ``INFER_BATCH`` rows at a time for
+logging. Adam updates the model's whole parameter buffer with a fixed run
+of numpy calls, over flat moments and scratch space kept between steps. One
+stall counter (:class:`Plateau`) on validation macro-F1 drives both
+reduce-on-plateau and early stopping. Inference: :func:`infer_batches` runs
+the infer-mode forward ``INFER_BATCH`` rows at a time for
 :func:`predict_probs` and :func:`export_attention`.
 """
 
