@@ -357,52 +357,63 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
             sub.add_argument(f"--{flag}", dest=name, type=kinds[0])
 
 
-def build_parser() -> argparse.ArgumentParser:
+_WEIGHTS = (("--weights",), {"required": True})
+
+# name: (help, handler, takes the RunConfig flags, its own arguments), in
+# the order ``papernet --help`` lists them
+SUBCOMMANDS = {
+    "train": ("train one variant and evaluate on the test split", cmd_train, True, ()),
+    "evaluate": ("evaluate saved weights on a split", cmd_evaluate, True, (
+        _WEIGHTS,
+        (("--split",), {"choices": ("train", "val", "test", "all"), "default": "test"}),
+    )),
+    "ablate": ("train all four variants under identical splits", cmd_ablate, True, ()),
+    "bench": ("single-sample inference latency", cmd_bench, False, (
+        _WEIGHTS,
+        (("--n-samples",), {"dest": "n_samples", "type": int, "default": 200}),
+        (("--input-length",), {"dest": "input_length", "type": int,
+                               "default": dsp.NUM_CHANNELS}),
+    )),
+    "gradcheck": ("finite-difference checks for every layer", cmd_gradcheck, False, ()),
+    "export-attention": ("per-sample attention weights to CSV", cmd_export_attention, True, (
+        _WEIGHTS,
+        (("--split",), {"choices": ("test", "all"), "default": "test"}),
+    )),
+    "preprocess": ("band-pass the dataset and write filtered rows", cmd_preprocess, True, ()),
+}
+
+
+def _parser(flagged) -> argparse.ArgumentParser:
+    """Every subcommand, with the RunConfig flags added only to those named
+    in ``flagged`` that take them: one flag per config field costs about as
+    much to add as the rest of the parser."""
     parser = argparse.ArgumentParser(
         prog="papernet",
         description="EEG classification pipeline: DSP preprocessing, training, "
         "evaluation, ablations, and verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("train", help="train one variant and evaluate on the test split")
-    _add_config_flags(sub)
-    sub.set_defaults(func=cmd_train)
-
-    sub = subs.add_parser("evaluate", help="evaluate saved weights on a split")
-    _add_config_flags(sub)
-    sub.add_argument("--weights", required=True)
-    sub.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    sub.set_defaults(func=cmd_evaluate)
-
-    sub = subs.add_parser("ablate", help="train all four variants under identical splits")
-    _add_config_flags(sub)
-    sub.set_defaults(func=cmd_ablate)
-
-    sub = subs.add_parser("bench", help="single-sample inference latency")
-    sub.add_argument("--weights", required=True)
-    sub.add_argument("--n-samples", dest="n_samples", type=int, default=200)
-    sub.add_argument("--input-length", dest="input_length", type=int, default=dsp.NUM_CHANNELS)
-    sub.set_defaults(func=cmd_bench)
-
-    sub = subs.add_parser("gradcheck", help="finite-difference checks for every layer")
-    sub.set_defaults(func=cmd_gradcheck)
-
-    sub = subs.add_parser("export-attention", help="per-sample attention weights to CSV")
-    _add_config_flags(sub)
-    sub.add_argument("--weights", required=True)
-    sub.add_argument("--split", choices=("test", "all"), default="test")
-    sub.set_defaults(func=cmd_export_attention)
-
-    sub = subs.add_parser("preprocess", help="band-pass the dataset and write filtered rows")
-    _add_config_flags(sub)
-    sub.set_defaults(func=cmd_preprocess)
-
+    for name, (help_text, handler, configurable, arguments) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if configurable and name in flagged:
+            _add_config_flags(sub)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(func=handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: every subcommand with all of its flags."""
+    return _parser(SUBCOMMANDS)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option names the subcommand, the only one parsed
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    args = _parser({chosen}).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, FilterDesignError) as exc:

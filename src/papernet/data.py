@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DataError, WeightFormatError
 from .dsp import NUM_CHANNELS
-from .model import VARIANTS, ModelGraph, build_papernet
+from .model import VARIANTS, ModelGraph, _allocate_papernet
 
 WEIGHT_MAGIC = b"PNW1"
 WEIGHT_VERSION = 1
@@ -486,8 +486,9 @@ def load_weights(path, model: ModelGraph | None = None,
     buffer in one call once every tensor has passed its checks.
 
     With ``model``, the file must match it tensor for tensor (the first
-    offending name is reported). Without one, a fresh graph is built from
-    the stored variant and the dense head width.
+    offending name is reported). Without one, a graph is sized from the
+    stored variant and the dense head width; no initial values are drawn,
+    since the file's overwrite them all.
     """
     header, tensors = _parse_weight_file(path)
     if model is None:
@@ -497,11 +498,7 @@ def load_weights(path, model: ModelGraph | None = None,
                 f"{path}: cannot size a model from variant {header['variant']!r} "
                 "and the dense2.bias tensor"
             )
-        model = build_papernet(
-            num_classes=len(head),
-            input_length=input_length,
-            variant=header["variant"],
-        )
+        model = _allocate_papernet(len(head), input_length, header["variant"], np.float32)
     for name in tensors:
         if name not in model.params:
             raise WeightFormatError(f"{path}: unexpected tensor {name!r} for this model")

@@ -80,9 +80,85 @@ class ModelGraph:
         )
 
 
-def _glorot(rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+def _fill(value: float):
+    return lambda rng, shape: np.full(shape, value)
+
+
+def _glorot(fan_in: int, fan_out: int):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return lambda rng, shape: rng.uniform(-limit, limit, size=shape)
+
+
+def _lstm_bias(rng, shape):
+    bias = np.zeros(shape)
+    bias[shape[0] // 4 : shape[0] // 2] = 1.0  # forget gate opens at init
+    return bias
+
+
+def _layout(variant: str, num_classes: int) -> list:
+    """Every tensor of a model in ``params`` order, the ``PNW1`` body order,
+    as (name, shape, initializer). An initializer maps (rng, shape) to the
+    starting values; only the Glorot ones draw from the rng."""
+    layout = []
+    c_in = 1
+    for i, (width, k) in enumerate(zip(CONV_WIDTHS, CONV_KERNELS), start=1):
+        layout += [
+            (f"conv{i}.kernel", (k, c_in, width), _glorot(k * c_in, k * width)),
+            (f"conv{i}.bias", (width,), _fill(0.0)),
+            (f"bn{i}.gamma", (width,), _fill(1.0)),
+            (f"bn{i}.beta", (width,), _fill(0.0)),
+            (f"bn{i}.running_mean", (width,), _fill(0.0)),
+            (f"bn{i}.running_var", (width,), _fill(1.0)),
+        ]
+        c_in = width
+    feat = CONV_WIDTHS[-1]
+    if variant != "no_attention":
+        layout += [
+            ("se.w1", (feat, SE_BOTTLENECK), _glorot(feat, SE_BOTTLENECK)),
+            ("se.b1", (SE_BOTTLENECK,), _fill(0.0)),
+            ("se.w2", (SE_BOTTLENECK, feat), _glorot(SE_BOTTLENECK, feat)),
+            ("se.b2", (feat,), _fill(0.0)),
+        ]
+    if variant != "no_lstm":
+        h = LSTM_HIDDEN
+        for direction in ("fw", "bw"):
+            layout += [
+                (f"lstm_{direction}.weight", (4 * h, feat + h), _glorot(feat + h, 4 * h)),
+                (f"lstm_{direction}.bias", (4 * h,), _lstm_bias),
+            ]
+    return layout + [
+        ("dense1.weight", (feat, DENSE_WIDTH), _glorot(feat, DENSE_WIDTH)),
+        ("dense1.bias", (DENSE_WIDTH,), _fill(0.0)),
+        ("dense2.weight", (DENSE_WIDTH, num_classes), _glorot(DENSE_WIDTH, num_classes)),
+        ("dense2.bias", (num_classes,), _fill(0.0)),
+    ]
+
+
+def _allocate_papernet(num_classes: int, input_length: int, variant: str, dtype) -> ModelGraph:
+    """A model whose parameters are views of one uninitialized buffer, for
+    a caller that writes every value: :func:`build_papernet` or a weight
+    load."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if input_length < 2:
+        raise ValueError(f"input_length must be >= 2, got {input_length}")
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    dtype = np.dtype(dtype)
+    # every tensor but the batch-norm running statistics is trained
+    params = {
+        name: Tensor(np.empty(shape, dtype=dtype), requires_grad=".running_" not in name)
+        for name, shape, _ in _layout(variant, num_classes)
+    }
+    size = sum(t.size for t in params.values())
+    return ModelGraph(
+        variant=variant,
+        num_classes=num_classes,
+        input_length=input_length,
+        dtype=dtype,
+        params=params,
+        flat=ParamBuffer(params.values(), np.empty(size, dtype=dtype)),
+    )
 
 
 def build_papernet(
@@ -97,73 +173,10 @@ def build_papernet(
     Conv and dense weights use Glorot-uniform init; LSTM forget-gate biases
     start at 1, all other biases at 0; batch-norm starts as the identity.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if input_length < 2:
-        raise ValueError(f"input_length must be >= 2, got {input_length}")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    dtype = np.dtype(dtype)
+    model = _allocate_papernet(num_classes, input_length, variant, dtype)
     rng = np.random.default_rng(seed)
-    model = ModelGraph(
-        variant=variant,
-        num_classes=num_classes,
-        input_length=input_length,
-        dtype=dtype,
-    )
-    p = model.params
-
-    def param(name, data, trainable=True):
-        p[name] = Tensor(np.asarray(data, dtype=dtype), requires_grad=trainable)
-
-    c_in = 1
-    for i, (width, k) in enumerate(zip(CONV_WIDTHS, CONV_KERNELS), start=1):
-        param(
-            f"conv{i}.kernel",
-            _glorot(rng, (k, c_in, width), fan_in=k * c_in, fan_out=k * width, dtype=dtype),
-        )
-        param(f"conv{i}.bias", np.zeros(width))
-        param(f"bn{i}.gamma", np.ones(width))
-        param(f"bn{i}.beta", np.zeros(width))
-        param(f"bn{i}.running_mean", np.zeros(width), trainable=False)
-        param(f"bn{i}.running_var", np.ones(width), trainable=False)
-        c_in = width
-
-    feat = CONV_WIDTHS[-1]
-    if variant != "no_attention":
-        param(
-            "se.w1",
-            _glorot(rng, (feat, SE_BOTTLENECK), fan_in=feat, fan_out=SE_BOTTLENECK, dtype=dtype),
-        )
-        param("se.b1", np.zeros(SE_BOTTLENECK))
-        param(
-            "se.w2",
-            _glorot(rng, (SE_BOTTLENECK, feat), fan_in=SE_BOTTLENECK, fan_out=feat, dtype=dtype),
-        )
-        param("se.b2", np.zeros(feat))
-
-    if variant != "no_lstm":
-        h = LSTM_HIDDEN
-        for direction in ("fw", "bw"):
-            param(
-                f"lstm_{direction}.weight",
-                _glorot(rng, (4 * h, feat + h), fan_in=feat + h, fan_out=4 * h, dtype=dtype),
-            )
-            bias = np.zeros(4 * h)
-            bias[h : 2 * h] = 1.0  # forget gate opens at init
-            param(f"lstm_{direction}.bias", bias)
-
-    param(
-        "dense1.weight",
-        _glorot(rng, (feat, DENSE_WIDTH), fan_in=feat, fan_out=DENSE_WIDTH, dtype=dtype),
-    )
-    param("dense1.bias", np.zeros(DENSE_WIDTH))
-    param(
-        "dense2.weight",
-        _glorot(rng, (DENSE_WIDTH, num_classes), fan_in=DENSE_WIDTH, fan_out=num_classes, dtype=dtype),
-    )
-    param("dense2.bias", np.zeros(num_classes))
-    model.flat = ParamBuffer(p.values())
+    for name, shape, init in _layout(variant, num_classes):
+        model.params[name].data[...] = init(rng, shape)
     return model
 
 

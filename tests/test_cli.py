@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import papernet.checks as checks_mod
 import papernet.tensor as tensor_mod
-from papernet.cli import RunConfig, build_parser, main
+from papernet.cli import SUBCOMMANDS, RunConfig, build_parser, main
 from papernet.data import load_weights, save_weights
 from papernet.model import build_papernet, count_parameters
 from papernet.tensor import Tensor, gradcheck
@@ -508,6 +508,22 @@ class TestCliSurface:
             for name, sub in self._subcommands().items()
         }
         assert surface == expected
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_main_parses_like_the_whole_parser(self, name, capsys):
+        # main adds the RunConfig flags to the chosen subcommand only: its
+        # --help text, and a usage error's message and exit code, are those
+        # of the parser with every flag of every subcommand
+        for argv, code in (([name, "--help"], 0), ([name, "--no-such-flag"], 2)):
+            outcomes = []
+            for parse in (build_parser().parse_args, main):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                outcomes.append((exc.value.code, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[1][0] == code
+            if code == 0:
+                assert ("--lr0" in outcomes[1][1]) == SUBCOMMANDS[name][2]
 
     def test_no_class_weighting_flag(self):
         for sub in self._subcommands().values():

@@ -166,6 +166,20 @@ class TestConv1dSame:
                 assert actual.dtype == expected.dtype and actual.shape == expected.shape
                 assert actual.tobytes() == expected.tobytes()
 
+    def test_no_input_gradient_for_an_input_without_grad(self):
+        rng = np.random.default_rng(4)
+        x, g = rng.normal(size=(2, 3, 6, 2))
+        kernel, bias = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True), t(np.zeros(2))
+        rules = []
+        for needs_grad in (True, False):
+            with ComputationTape() as tape:
+                layers.conv1d_same(Tensor(x, requires_grad=needs_grad), kernel, bias)
+            rules.append(tape.nodes[0].rule(g))
+        (_, *want), (d_x, *got) = rules
+        assert d_x is None
+        for actual, expected in zip(got, want):
+            assert actual.tobytes() == expected.tobytes()
+
 
 def _conv_pad_and_stack(x, kernel, bias, g):
     """Output and (dx, dkernel, dbias) of a same-padded convolution built
@@ -318,6 +332,61 @@ class TestBatchNorm:
         layers.batchnorm(x, gamma, beta, rm, rv, "train", momentum=0.9)
         np.testing.assert_allclose(rm.data, [0.9 * 0.0 + 0.1 * 2.0])
         np.testing.assert_allclose(rv.data, [0.9 * 1.0 + 0.1 * 4.0])
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (5, 7, 4), (64, 16, 32)])
+    def test_matches_mean_reduction_oracle(self, shape, mode):
+        rng = np.random.default_rng(shape)
+        x = rng.normal(1.5, 2.0, size=shape)
+        g = rng.normal(size=shape)
+        gamma, beta = rng.normal(size=(2, shape[2]))
+        stats = rng.normal(size=shape[2]), rng.uniform(0.5, 2.0, size=shape[2])
+        rm, rv = (Tensor(s.copy()) for s in stats)
+        with ComputationTape() as tape:
+            out = layers.batchnorm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                                   Tensor(beta, requires_grad=True), rm, rv, mode)
+        got = (out.data, *tape.nodes[0].rule(g), rm.data, rv.data)
+        for actual, expected in zip(got, _batchnorm_mean_oracle(x, gamma, beta, *stats, g, mode)):
+            np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+
+
+def _batchnorm_mean_oracle(x, gamma, beta, running_mean, running_var, g, mode,
+                           eps=1e-3, momentum=0.9):
+    """Output, (d_x, d_gamma, d_beta) and the new running statistics of
+    batch norm by the textbook formula, with numpy means over (batch, time):
+    d_x = inv_std * (d_xhat - mean(d_xhat) - x_hat * mean(d_xhat * x_hat))."""
+    if mode == "train":
+        mean = x.mean(axis=(0, 1))
+        centered = x - mean
+        var = (centered * centered).mean(axis=(0, 1))
+        running_mean = momentum * running_mean + (1.0 - momentum) * mean
+        running_var = momentum * running_var + (1.0 - momentum) * var
+    else:
+        centered = x - running_mean
+        var = running_var
+    inv_std = (var + eps) ** -0.5
+    x_hat = centered * inv_std
+    d_xhat = g * gamma
+    if mode == "train":
+        d_xhat = (d_xhat - d_xhat.mean(axis=(0, 1))
+                  - x_hat * (d_xhat * x_hat).mean(axis=(0, 1)))
+    return (x_hat * gamma + beta, d_xhat * inv_std, (g * x_hat).sum(axis=(0, 1)),
+            g.sum(axis=(0, 1)), running_mean, running_var)
+
+
+class TestColumnSum:
+    @pytest.mark.parametrize("shape", [(6,), (1, 4), (64, 10), (3, 5, 7), (64, 16, 32),
+                                       (2, 3, 4, 5)])
+    def test_matches_sum_over_leading_axes(self, shape):
+        a = np.random.default_rng(shape).normal(size=shape)
+        leading = tuple(range(a.ndim - 1))
+        np.testing.assert_allclose(layers._colsum(a), a.sum(axis=leading), rtol=1e-12,
+                                   atol=1e-12 * np.abs(a).sum())
+
+    def test_strided_input(self):
+        a = np.random.default_rng(1).normal(size=(9, 12, 6))[:, 2:10:2, ::-1]
+        np.testing.assert_allclose(layers._colsum(a), a.sum(axis=(0, 1)), rtol=1e-12)
 
 
 class TestSeResidualAttention:
