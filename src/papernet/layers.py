@@ -292,7 +292,8 @@ def _lstm_forward(x2d, weight, bias, out, reverse, keep):
     for t in order:
         if t == order[0]:
             # the zero initial state adds nothing: no recurrent GEMM. A -0.0
-            # copied here still leaves ``a += shift`` as +0.0, as 0 + -0.0 would
+            # copied here, which the GEMM's 0 + -0.0 would have made +0.0,
+            # still ends as +0.0 after ``a += shift``: the same bits
             a[...] = acts[:, t]
         else:
             np.matmul(h, w_rec, out=a)
