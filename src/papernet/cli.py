@@ -139,7 +139,7 @@ def prepare_dataset(config: RunConfig) -> PreparedData:
         features=features,
         labels=raw.labels,
         splits=splits,
-        test_guard=data.SingleUse(splits.test, "test split"),
+        test_guard=data.SingleUse(splits.test),
         num_classes=num_classes,
     )
 

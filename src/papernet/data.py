@@ -200,14 +200,11 @@ class SplitIndices:
         return h.hexdigest()[:16]
 
 
-def stratified_split(labels, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitIndices:
+def stratified_split(labels, seed: int = 0) -> SplitIndices:
     """Per class: shuffle with a generator seeded from (seed, class), cut at
-    floor(r_train * n) and floor((r_train + r_val) * n), remainder to test."""
+    floor(r_train * n) and floor((r_train + r_val) * n) of ``DEFAULT_RATIOS``."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise DataError(f"need three non-negative ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"ratios must sum to 1, got {ratios}")
+    r_train, r_val, _ = DEFAULT_RATIOS
     train, val, test = [], [], []
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
@@ -216,8 +213,8 @@ def stratified_split(labels, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitIndic
         rng = np.random.default_rng([seed, int(cls)])
         perm = rng.permutation(idx)
         n = len(perm)
-        cut1 = math.floor(ratios[0] * n + 1e-9)
-        cut2 = math.floor((ratios[0] + ratios[1]) * n + 1e-9)
+        cut1 = math.floor(r_train * n + 1e-9)
+        cut2 = math.floor((r_train + r_val) * n + 1e-9)
         train.append(perm[:cut1])
         val.append(perm[cut1:cut2])
         test.append(perm[cut2:])
@@ -231,14 +228,13 @@ def stratified_split(labels, ratios=DEFAULT_RATIOS, seed: int = 0) -> SplitIndic
 class SingleUse:
     """Hands out a value exactly once; guards the test split against reuse."""
 
-    def __init__(self, value, label: str = "test split"):
+    def __init__(self, value):
         self._value = value
-        self._label = label
         self.taken = False
 
     def take(self):
         if self.taken:
-            raise DataError(f"{self._label} already consumed once")
+            raise DataError("test split already consumed once")
         self.taken = True
         return self._value
 
@@ -413,6 +409,7 @@ def crc64(data) -> int:
 def save_weights(model: ModelGraph, path) -> None:
     """Serialize all parameters (running stats included) as float32: the
     body is the model's buffer, written through :func:`atomic_open`."""
+    model.flat.check_views(model.params)
     entries = []
     for name, tensor in model.params.items():
         start = tensor.home[1]

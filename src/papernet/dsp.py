@@ -38,6 +38,7 @@ from .errors import DataError, FilterDesignError
 STD_FLOOR = 1e-8
 DEFAULT_BAND = (0.5, 45.0)
 DEFAULT_SAMPLE_RATE = 256.0
+FILTER_ORDER = 4  # Butterworth order of the preprocessing band-pass
 NUM_CHANNELS = 16
 # samples per block of the block state-space filter (a power of two)
 BLOCK = 128
@@ -45,18 +46,11 @@ BLOCK = 128
 
 @dataclass
 class BiquadCascade:
-    """Second-order sections [n, 6] as (b0, b1, b2, 1, a1, a2) rows, plus the
-    design metadata they were generated from."""
+    """Second-order sections [n, 6] as (b0, b1, b2, 1, a1, a2) rows, one per
+    filter order, plus the sample rate they were designed for."""
 
     sections: np.ndarray
-    order: int
-    low_hz: float
-    high_hz: float
     sample_rate_hz: float
-
-    @property
-    def nyquist(self) -> float:
-        return self.sample_rate_hz / 2.0
 
     def poles(self) -> np.ndarray:
         """Poles of every section in the z-plane."""
@@ -67,7 +61,7 @@ class BiquadCascade:
 
 
 def butter_bandpass_design(
-    order: int = 4,
+    order: int = FILTER_ORDER,
     low_hz: float = DEFAULT_BAND[0],
     high_hz: float = DEFAULT_BAND[1],
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
@@ -82,13 +76,9 @@ def butter_bandpass_design(
             f"band edges ({low_hz}, {high_hz}) Hz must satisfy "
             f"0 < low < high < Nyquist ({sample_rate_hz / 2.0} Hz)"
         )
-    order = int(order)
     poles, gain = _bandpass_poles(order, low_hz, high_hz, sample_rate_hz)
     cascade = BiquadCascade(
         sections=_pair_sections(poles, gain, order),
-        order=order,
-        low_hz=low_hz,
-        high_hz=high_hz,
         sample_rate_hz=sample_rate_hz,
     )
     if not cascade.is_stable():
@@ -157,7 +147,7 @@ def _pair_sections(poles, gain, order) -> np.ndarray:
 def frequency_response(cascade: BiquadCascade, f_hz) -> np.ndarray | float:
     """|H(e^{j omega})| at ``f_hz`` (a scalar or a 1-D array of Hz)."""
     f = np.asarray(f_hz, dtype=np.float64)
-    if np.any(f < 0) or np.any(f > cascade.nyquist):
+    if np.any(f < 0) or np.any(f > cascade.sample_rate_hz / 2.0):
         raise FilterDesignError(f"frequency outside [0, Nyquist]: {f_hz}")
     zm1 = np.exp(-2j * np.pi * np.atleast_1d(f) / cascade.sample_rate_hz)
     h = np.ones_like(zm1)
@@ -170,13 +160,13 @@ def frequency_response(cascade: BiquadCascade, f_hz) -> np.ndarray | float:
 def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
     """Zero-phase filtering along axis 0 of a 1-D signal or of [N, C]
     channel columns, each column on its own; odd-reflection padding of
-    length 3*(2*order+1)."""
+    length 3*(2*n+1) for n sections."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise DataError(
             f"filtfilt expects a 1-D signal or [N, C] columns, got shape {x.shape}"
         )
-    pad = 3 * (2 * cascade.order + 1)
+    pad = 3 * (2 * len(cascade.sections) + 1)
     if len(x) <= pad:
         raise DataError(f"signal length {len(x)} too short for padding {pad}")
     # channels first: [C, N]
@@ -216,8 +206,11 @@ class _BlockFilter:
             c *= b0
             c[i] = 1.0
             d *= b0
-        # state after a long unit step
-        self.steady = np.linalg.solve(np.eye(n) - a, b)
+        # state after a long unit step; I - A is singular if rounding puts a pole at z = 1
+        try:
+            self.steady = np.linalg.solve(np.eye(n) - a, b)
+        except np.linalg.LinAlgError:
+            raise FilterDesignError("the band-pass design has a pole at z = 1 in float64") from None
         # A^i for i <= BLOCK, one product at a time (repeated squaring loses
         # digits on poles near the unit circle)
         powers = [np.eye(n)]
@@ -259,7 +252,6 @@ def preprocess_recording(
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE,
     low_hz: float = DEFAULT_BAND[0],
     high_hz: float = DEFAULT_BAND[1],
-    order: int = 4,
 ) -> np.ndarray:
     """Band-pass every channel column of an [N, 16] recording independently,
     over the full series, before any split-dependent step."""
@@ -268,7 +260,7 @@ def preprocess_recording(
         raise DataError(
             f"expected [N, {NUM_CHANNELS}] channel columns, got shape {feats.shape}"
         )
-    cascade = butter_bandpass_design(order, low_hz, high_hz, sample_rate_hz)
+    cascade = butter_bandpass_design(FILTER_ORDER, low_hz, high_hz, sample_rate_hz)
     return filtfilt(cascade, feats)
 
 

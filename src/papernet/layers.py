@@ -33,6 +33,10 @@ from .errors import ShapeError
 from .tensor import Tensor, _make_output, _recording
 
 MODES = ("train", "infer")
+BN_EPS = 1e-3
+# 0.9, not the common 0.99, which needs several hundred updates to shed the 0/1
+# initialization: desk-scale runs (tens of batches) never get there
+BN_MOMENTUM = 0.9
 
 
 def _check_mode(mode: str) -> None:
@@ -153,17 +157,12 @@ def batchnorm(
     running_mean: Tensor,
     running_var: Tensor,
     mode: str,
-    eps: float = 1e-3,
-    momentum: float = 0.9,
 ) -> Tensor:
     """Per-channel batch normalization of [B, T, C] over (batch, time).
 
     Train mode normalizes with batch statistics and updates the running
-    stats in place as new = momentum * old + (1 - momentum) * batch;
-    infer mode normalizes with the running stats. The default momentum is
-    0.9, not the common 0.99: 0.99 would need several hundred updates before
-    the running stats shed their 0/1 initialization; desk-scale runs (tens
-    of batches) never get there and infer-mode metrics stay garbage.
+    stats in place as new = m * old + (1 - m) * batch, m = ``BN_MOMENTUM``;
+    infer mode normalizes with the running stats.
     """
     _check_mode(mode)
     _require_btc(x, "batchnorm")
@@ -179,12 +178,12 @@ def batchnorm(
         centered = xd - mean
         var = _colsum(centered * centered) / n
         # written into the arrays, which are views of the model's buffer
-        running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mean
-        running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
+        running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mean
+        running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
     else:
         centered = xd - running_mean.data
         var = running_var.data
-    inv_std = (var + eps) ** -0.5
+    inv_std = (var + BN_EPS) ** -0.5
     if _recording((x, gamma, beta)):
         x_hat = centered * inv_std
         out = x_hat * gamma.data + beta.data

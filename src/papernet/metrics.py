@@ -165,7 +165,6 @@ class EvalReport(PrfMetrics):
     """Everything reported for one classifier on one split: the P/R/F1
     metrics of its confusion matrix, ROC/AUC and McNemar's test."""
 
-    num_classes: int
     confusion: np.ndarray
     roc: list[RocCurve]
     macro_auc: float | None
@@ -175,7 +174,7 @@ class EvalReport(PrfMetrics):
     def to_dict(self) -> dict:
         return {
             **self.extra,
-            "num_classes": self.num_classes,
+            "num_classes": len(self.confusion),
             "confusion_matrix": self.confusion.tolist(),
             "accuracy": self.accuracy,
             "per_class": [
@@ -219,7 +218,6 @@ def evaluate_probs(y_true, probs, num_classes: int | None = None, baseline_seed:
     mc = mcnemar(y_pred == y_true, baseline == y_true)
     return EvalReport(
         **vars(prf),
-        num_classes=k,
         confusion=cm,
         roc=curves,
         macro_auc=macro_auc,

@@ -16,7 +16,7 @@ loaded models carry none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +32,27 @@ CONV_KERNELS = (5, 5, 3)
 SE_BOTTLENECK = 32
 LSTM_HIDDEN = 64
 DENSE_WIDTH = 128
+DROPOUT = 0.3  # the default rate; TrainConfig.dropout sets it for a run
 
 
 @dataclass
 class ModelGraph:
     """Assembled network: variant tag plus named parameter tensors, which
-    are views of ``flat``."""
+    are views of ``flat``. The class count and dtype are read from them."""
 
     variant: str
-    num_classes: int
     input_length: int
-    dropout_p: float = 0.3
-    dtype: np.dtype = np.float32
-    params: dict[str, Tensor] = field(default_factory=dict)
-    flat: ParamBuffer | None = None
+    params: dict[str, Tensor]
+    flat: ParamBuffer
+    dropout_p: float = DROPOUT
+
+    @property
+    def num_classes(self) -> int:
+        return self.params["dense2.bias"].size
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.data.dtype
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if v.requires_grad}
@@ -68,15 +75,14 @@ class ModelGraph:
 
     def copy(self) -> "ModelGraph":
         """A detached copy: one copy of the buffer, no gradients."""
+        self.flat.check_views(self.params)
         params = {k: Tensor(p.data, requires_grad=p.requires_grad) for k, p in self.params.items()}
         return ModelGraph(
             variant=self.variant,
-            num_classes=self.num_classes,
             input_length=self.input_length,
-            dropout_p=self.dropout_p,
-            dtype=self.dtype,
             params=params,
             flat=ParamBuffer(params.values(), self.flat.data.copy()),
+            dropout_p=self.dropout_p,
         )
 
 
@@ -144,7 +150,6 @@ def _allocate_papernet(num_classes: int, input_length: int, variant: str, dtype)
         raise ValueError(f"input_length must be >= 2, got {input_length}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    dtype = np.dtype(dtype)
     # every tensor but the batch-norm running statistics is trained
     params = {
         name: Tensor(np.empty(shape, dtype=dtype), requires_grad=".running_" not in name)
@@ -153,9 +158,7 @@ def _allocate_papernet(num_classes: int, input_length: int, variant: str, dtype)
     size = sum(t.size for t in params.values())
     return ModelGraph(
         variant=variant,
-        num_classes=num_classes,
         input_length=input_length,
-        dtype=dtype,
         params=params,
         flat=ParamBuffer(params.values(), np.empty(size, dtype=dtype)),
     )

@@ -120,6 +120,14 @@ class ParamBuffer:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
+    def check_views(self, tensors: dict[str, Tensor]) -> None:
+        """Raise ValueError naming the first tensor whose ``data`` or ``grad``
+        was assigned rather than written in place, so the buffer misses it."""
+        for name, t in tensors.items():
+            for slot, arr, whole in (("data", t.data, self.data), ("grad", t.grad, self.grad)):
+                if arr is not None and (whole is None or arr.base is not whole):
+                    raise ValueError(f"{name}.{slot} is not its view of the parameter buffer")
+
 
 class _TapeNode:
     __slots__ = ("name", "inputs", "output", "rule")

@@ -23,12 +23,15 @@ from .data import SplitIndices, class_weights, save_weights, write_csv
 from .dsp import NUM_CHANNELS
 from .errors import ConfigError, DataError, NonFiniteError, TrainingError
 from .metrics import confusion, prf_metrics
-from .model import CONV_WIDTHS, ModelGraph, forward
+from .model import CONV_WIDTHS, DROPOUT, ModelGraph, forward
 from .tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward
 
 IMPROVEMENT_DELTA = 1e-4
 LOG_FLOOR = 1e-12
 INFER_BATCH = 256  # rows per infer-mode forward
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-7
 
 
 def _quiet_fp() -> np.errstate:
@@ -46,7 +49,7 @@ class TrainConfig:
     min_lr: float = 1e-6
     early_stop_patience: int = 6
     l2: float = 1e-4
-    dropout: float = 0.3
+    dropout: float = DROPOUT
     seed: int = 0
     class_weighting: bool = True
 
@@ -79,9 +82,6 @@ class AdamState:
     v: np.ndarray
     scratch: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
@@ -105,10 +105,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 
     Slots that received no gradient read as a zero gradient: their moments
     decay, and where both are still 0 (the running statistics) the update
-    is exactly 0. A non-finite gradient aborts before any state changes and
-    names the first parameter that holds one.
+    is exactly 0. A non-finite gradient, or a parameter off the buffer,
+    aborts before any state changes and names the first such parameter.
     """
     flat = state.flat
+    flat.check_views(params)
     grad = flat.grad_array()
     if not np.isfinite(grad).all():
         name = next(
@@ -117,9 +118,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         )
         raise TrainingError(f"non-finite gradient for {name}")
     state.t += 1
-    beta1, beta2 = state.beta1, state.beta2
-    correct1 = 1.0 - beta1**state.t
-    correct2 = 1.0 - beta2**state.t
+    correct1 = 1.0 - ADAM_BETA1**state.t
+    correct2 = 1.0 - ADAM_BETA2**state.t
     chunk = state.scratch.shape[1]
     # chunk by chunk, so the scratch rows span one chunk and a chunk's
     # arrays stay in cache across the passes; the per-element operations
@@ -127,14 +127,14 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     for lo in range(0, grad.size, chunk):
         g, m, v, p = (arr[lo : lo + chunk] for arr in (grad, state.m, state.v, flat.data))
         tmp, step = state.scratch[:, : len(g)]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=tmp)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=tmp)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
         v += np.multiply(tmp, g, out=tmp)
         denom = np.divide(v, correct2, out=tmp)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, correct1, out=step)
         step *= lr
         step /= denom
@@ -297,7 +297,6 @@ def train(
     adam = AdamState.for_params(trainable)
     plateau = Plateau(config)
     history = TrainHistory()
-    best_model = model.copy()
     n_train = len(y_train)
     bounds = list(range(0, n_train, config.batch_size)) + [n_train]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -343,7 +342,7 @@ def train(
         )
         history.records.append(record)
         stop = plateau.observe(val_prf.macro_f1)
-        if plateau.best_epoch == epoch:
+        if plateau.best_epoch == epoch:  # true at epoch 1: macro-F1 is never NaN
             best_model = model.copy()
         if stop:
             break

@@ -134,7 +134,7 @@ class TestCriterion4Capacity:
         features = (features - features.mean(axis=0)) / features.std(axis=0)
         # validation points at the same 64 rows, so val_acc doubles as an
         # infer-mode read-out of the memorized training set
-        splits = stratified_split(labels, ratios=(0.70, 0.15, 0.15), seed=0)
+        splits = stratified_split(labels, seed=0)
         idx = np.arange(64)
         splits.train = idx
         splits.val = idx

@@ -297,6 +297,11 @@ BAD_INPUTS = {
         "bench", "--weights", str(t / "missing"), "--input-length", "1"]),
     "infinite_sample_rate": (2, lambda d, t: [
         "preprocess", "--data", str(d), "--outdir", str(t / "o"), "--sample-rate-hz", "inf"]),
+    # stable designs whose rounded poles make the block filter's I - A singular
+    "tiny_band_low": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--band-low-hz", "1e-7"]),
+    "huge_sample_rate": (2, lambda d, t: [
+        "train", "--data", str(d), "--outdir", str(t / "o"), "--sample-rate-hz", "1e10"]),
     "sparse_labels": (3, lambda d, t: [
         "train", "--data", str(_const_csv(t / "sparse.csv", [0, 1, 5000] * 10)),
         "--outdir", str(t / "o")]),
@@ -392,6 +397,7 @@ _CONFIGS = st.lists(
 
 @example(values={"sample_rate_hz": math.inf})
 @example(values={"sample_rate_hz": _HUGE})
+@example(values={"sample_rate_hz": 1394040342756744.0})  # a singular block filter
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=_CONFIGS)

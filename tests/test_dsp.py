@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -83,7 +83,7 @@ class TestDesign:
 
     def test_numpy_integer_order_accepted(self):
         cascade = butter_bandpass_design(np.int64(2), 0.5, 45.0, 256.0)
-        assert (cascade.order, cascade.sections.shape) == (2, (2, 6))
+        assert cascade.sections.shape == (2, 6)
 
     def test_response_rejects_out_of_range(self):
         with pytest.raises(FilterDesignError):
@@ -94,7 +94,7 @@ class TestFrequencyResponse:
     def test_unity_section_is_allpass(self):
         unity = BiquadCascade(
             sections=np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]),
-            order=1, low_hz=1.0, high_hz=10.0, sample_rate_hz=100.0,
+            sample_rate_hz=100.0,
         )
         for f in (0.0, 3.3, 25.0, 50.0):
             assert frequency_response(unity, f) == pytest.approx(1.0)
@@ -200,6 +200,19 @@ class TestScipyOracle:
             assert np.max(np.abs(got - expected)) <= 1e-9 * scale, shape
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _bands(draw):
+    """A finite sample rate and two band edges, each an arbitrary finite
+    float or the next of two ascending fractions of the rate's Nyquist."""
+    fs = draw(st.floats(1e-3, 1e18) | _FINITE)
+    fractions = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    low, high = (draw(st.just(r * fs / 2) | _FINITE) for r in fractions)
+    return fs, low, high
+
+
 class TestPreprocessRecording:
     def test_dc_offset_removed(self):
         rng = np.random.default_rng(1)
@@ -224,6 +237,21 @@ class TestPreprocessRecording:
     def test_wrong_channel_count(self):
         with pytest.raises(DataError):
             preprocess_recording(np.zeros((100, 12)), 256.0)
+
+    # rounding puts a pole at z = 1 in both pinned designs, and I - A of the
+    # block filter is then exactly singular
+    @example(band=(1e10, 0.5, 45.0))
+    @example(band=(256.0, 1e-7, 45.0))
+    @settings(max_examples=200, deadline=None)
+    @given(band=_bands())
+    def test_any_finite_design_filters_or_is_refused(self, band):
+        sample_rate_hz, low_hz, high_hz = band
+        rows = np.random.default_rng(4).normal(size=(64, 16))
+        try:
+            out = preprocess_recording(rows, sample_rate_hz, low_hz, high_hz)
+        except FilterDesignError:
+            return
+        assert out.shape == rows.shape and np.isfinite(out).all()
 
 
 class TestStandardizer:

@@ -329,7 +329,7 @@ class TestBatchNorm:
     def test_running_stats_updated_with_momentum(self):
         gamma, beta, rm, rv = self._params(1)
         x = t(np.array([0.0, 4.0]).reshape(2, 1, 1))  # batch mean 2, var 4
-        layers.batchnorm(x, gamma, beta, rm, rv, "train", momentum=0.9)
+        layers.batchnorm(x, gamma, beta, rm, rv, "train")
         np.testing.assert_allclose(rm.data, [0.9 * 0.0 + 0.1 * 2.0])
         np.testing.assert_allclose(rv.data, [0.9 * 1.0 + 0.1 * 4.0])
 

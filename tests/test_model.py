@@ -62,6 +62,13 @@ class TestBuild:
         for name in a.params:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_class_count_and_dtype_read_from_the_parameters(self, dtype):
+        m = build_papernet(num_classes=3, dtype=dtype)
+        for model in (m, m.copy()):
+            assert model.num_classes == 3 and model.params["dense2.bias"].shape == (3,)
+            assert model.dtype == dtype and model.flat.data.dtype == dtype
+
 
 class TestShapes:
     def test_shape_chain_for_t16(self):

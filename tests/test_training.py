@@ -168,6 +168,35 @@ def test_parameters_stay_views_of_the_flat_buffers(tmp_path, dtype):
         assert_views_of_buffers(trained)
 
 
+def _adam(model, path):
+    trainable = model.trainable()
+    adam_step(trainable, AdamState.for_params(trainable), 1e-3)
+
+
+REBIND = {
+    "grad": lambda p: setattr(p, "grad", np.ones_like(p.data)),
+    "data": lambda p: setattr(p, "data", np.full_like(p.data, 7.0)),
+}
+BUFFER_READERS = {
+    "adam_step": _adam,
+    "save_weights": save_weights,
+    "copy": lambda m, path: m.copy(),
+}
+
+
+@pytest.mark.parametrize("reader", BUFFER_READERS)
+@pytest.mark.parametrize("slot", REBIND)
+def test_a_parameter_rebound_off_its_buffer_is_named(tmp_path, slot, reader):
+    """Adam, saving and copying read the model's buffer, not the tensors:
+    each refuses a parameter whose ``grad`` or ``data`` was assigned."""
+    model = build_papernet(seed=3)
+    before = model.flat.data.tobytes()
+    REBIND[slot](model.params["dense2.bias"])
+    with pytest.raises(ValueError, match=rf"dense2\.bias\.{slot} is not its view"):
+        BUFFER_READERS[reader](model, tmp_path / "w")
+    assert model.flat.data.tobytes() == before and not (tmp_path / "w").exists()
+
+
 def packed_param(values, grad):
     """A one-tensor parameter dict in its own buffer, holding ``grad``."""
     p = {"w": Tensor(np.asarray(values), requires_grad=True)}
