@@ -1,9 +1,10 @@
 """Finite-difference verification suite.
 
-Every differentiable operation, every layer, and the whole model (all four
-variants) is checked in float64 against central differences. The suite is
-a name -> callable registry so single checks can be run, replaced, or
-corrupted from tests; each callable returns its max relative error.
+Every layer, the loss with its L2 penalty, and the whole model (all four
+variants) are checked in float64 against central differences: 13 checks.
+The suite is a name -> callable registry so single checks can be run,
+replaced, or corrupted from tests; each callable returns its max relative
+error.
 """
 
 from __future__ import annotations
@@ -14,34 +15,29 @@ import numpy as np
 
 from . import layers
 from .model import VARIANTS, build_papernet, forward
-from .tensor import Tensor, gradcheck, relu, softmax_lastaxis
+from .tensor import Tensor, gradcheck
 from .training import weighted_cross_entropy
 
 TOLERANCE = 1e-5
 MODEL_COORDS_PER_TENSOR = 4
 
 
-def _t(rng, *shape, away_from_zero: float = 0.0) -> Tensor:
-    data = rng.standard_normal(shape)
-    if away_from_zero:
-        data = np.sign(data) * (np.abs(data) + away_from_zero)
-    return Tensor(data, requires_grad=True, dtype=np.float64)
+def _t(rng, *shape) -> Tensor:
+    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
-def check_relu() -> float:
-    rng = np.random.default_rng(13)
-    return gradcheck(relu, _t(rng, 4, 4, away_from_zero=0.1))
-
-
-def check_softmax() -> float:
-    rng = np.random.default_rng(16)
-    return gradcheck(softmax_lastaxis, _t(rng, 4, 6))
+def _off_kink(rng, x_shape, w_shape) -> list[Tensor]:
+    """Input, weight and bias of a ReLU layer whose pre-activations are all
+    0.25 or more from the kink: |x @ w| <= 0.75 (x in [-1, 1], w in
+    [-0.05, 0.05], at most 15 terms) and a bias of +1 or -1 by channel."""
+    bias = np.where(np.arange(w_shape[-1]) % 2 == 0, 1.0, -1.0)
+    arrays = rng.uniform(-1.0, 1.0, x_shape), rng.uniform(-0.05, 0.05, w_shape), bias
+    return [Tensor(a, requires_grad=True) for a in arrays]
 
 
 def check_conv1d() -> float:
     rng = np.random.default_rng(19)
-    x, k, b = _t(rng, 2, 7, 3), _t(rng, 5, 3, 4), _t(rng, 4)
-    return gradcheck(layers.conv1d_same, [x, k, b])
+    return gradcheck(layers.conv1d_same, _off_kink(rng, (2, 7, 3), (5, 3, 4)))
 
 
 def check_maxpool() -> float:
@@ -101,7 +97,10 @@ def check_bilstm() -> float:
 
 def check_dense() -> float:
     rng = np.random.default_rng(24)
-    return gradcheck(layers.dense, [_t(rng, 3, 5), _t(rng, 5, 2), _t(rng, 2)])
+    return max(
+        gradcheck(functools.partial(layers.dense, relu=relu), _off_kink(rng, (3, 5), (5, 2)))
+        for relu in (True, False)
+    )
 
 
 def check_dropout_fixed_mask() -> float:
@@ -119,9 +118,13 @@ def check_cross_entropy() -> float:
     rng = np.random.default_rng(26)
     logits = _t(rng, 5, 4)
     onehot = np.eye(4)[rng.integers(0, 4, size=5)]
+    model = build_papernet(num_classes=4, seed=8, dtype=np.float64)
     return max(
-        gradcheck(lambda z: weighted_cross_entropy(softmax_lastaxis(z), onehot, w), logits)
-        for w in (rng.uniform(0.5, 2.0, size=4), None)
+        *(gradcheck(lambda z: weighted_cross_entropy(z, onehot, w), logits)
+          for w in (rng.uniform(0.5, 2.0, size=4), None)),
+        # the L2 term, perturbing the model's weight matrices through it
+        gradcheck(lambda z, *_: weighted_cross_entropy(z, onehot, None, model, l2=0.1),
+                  [logits, *model.weight_matrices()], max_coords=MODEL_COORDS_PER_TENSOR),
     )
 
 
@@ -134,8 +137,8 @@ def _check_model(variant: str) -> float:
     targets = [x] + list(model.trainable().values())
 
     def loss_fn(*_):
-        probs = forward(model, x, mode="train", rng=np.random.default_rng(5))
-        return weighted_cross_entropy(probs, onehot, weights, model, l2=1e-4)
+        logits = forward(model, x, mode="train", rng=np.random.default_rng(5))
+        return weighted_cross_entropy(logits, onehot, weights, model, l2=1e-4)
 
     # eps below the layer default: the deep composition of piecewise-linear
     # units (ReLU, max pooling) otherwise risks a kink inside the window.
@@ -151,8 +154,6 @@ def _check_model(variant: str) -> float:
 
 
 SUITE = {
-    "relu": check_relu,
-    "softmax": check_softmax,
     "conv1d_same": check_conv1d,
     "maxpool1d": check_maxpool,
     "global_pools": check_global_pools,
@@ -164,8 +165,3 @@ SUITE = {
     "cross_entropy": check_cross_entropy,
     **{f"model_{variant}": functools.partial(_check_model, variant) for variant in VARIANTS},
 }
-
-
-def run_all() -> list[tuple[str, float]]:
-    """Run every registered check; returns (name, max relative error) pairs."""
-    return [(name, fn()) for name, fn in SUITE.items()]

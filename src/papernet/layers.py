@@ -1,10 +1,13 @@
-"""Network layers: 1-D convolution, batch norm, pooling, channel attention,
-bidirectional LSTM, dropout, and dense projections.
+"""Network layers: 1-D convolution with ReLU, batch norm, pooling, channel
+attention, bidirectional LSTM, dropout, and dense projections.
 
 Sequence layers take batched [B, T, C] tensors only; dense and dropout
 act on [B, F]. The convolution is one GEMM over im2col patches, each the
-k consecutive rows of a zero-padded copy of the input. Sums over the
-leading axes (batch norm's statistics and its γ and β gradients, the dense
+k consecutive rows of a zero-padded copy of the input, then ReLU, which
+every convolution of the model is followed by; :func:`dense` applies ReLU
+when asked. ReLU runs in place after the finiteness check, which it would
+defeat by turning -inf into 0, and its rule masks ``g`` by ``out > 0``.
+Sums over the leading axes (batch norm's statistics and its γ and β gradients, the dense
 and BiLSTM bias gradients) are one GEMV with a vector of ones each, several
 times faster than numpy's axis reductions at these shapes. Every layer
 records one tape node per call (infer-mode dropout, the identity, records
@@ -58,7 +61,7 @@ def _colsum(a: np.ndarray) -> np.ndarray:
 
 
 def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-length 1-D cross-correlation with zero padding.
+    """Same-length 1-D cross-correlation with zero padding, then ReLU.
 
     ``x`` is [B, T, Cin]; ``kernel`` is [k, Cin, Cout] with odd k;
     ``bias`` is [Cout].
@@ -81,13 +84,11 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     xp[:, pad : pad + length] = xd
     # the im2col matrix: row (b, t), column i * Cin + c holds the padded
     # input at time t + i - pad. Rows t .. t + k - 1 of xp are k * Cin
-    # contiguous values, so each row is one run of a read-only strided view,
+    # contiguous values, so each row is one run of a strided view with xp's
+    # own strides (built directly, not through as_strided's Python shim),
     # copied into a contiguous matrix (matmul would sum the overlapping view
     # itself in another order at B = 1)
-    s_batch, s_time, s_chan = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (batch, length, k * c_in), (s_batch, s_time, s_chan), writeable=False
-    )
+    windows = np.ndarray((batch, length, k * c_in), xp.dtype, buffer=xp, strides=xp.strides)
     flat = np.ascontiguousarray(windows).reshape(batch * length, k * c_in)
     w2d = kernel.data.reshape(k * c_in, c_out)
     out = flat @ w2d
@@ -95,18 +96,23 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     out = out.reshape(batch, length, c_out)
 
     def rule(g):
+        g = g * (out > 0)
         gb = g.reshape(batch * length, c_out)
         d_bias = gb.sum(axis=0)
         d_kernel = (flat.T @ gb).reshape(k, c_in, c_out)
         if not x.requires_grad:  # e.g. the data batch
             return None, d_kernel, d_bias
         d_patches = (gb @ w2d.T).reshape(batch, length, k, c_in)
-        d_xp = np.zeros_like(xp)
+        d_x = np.zeros_like(xd)
         for i in range(k):
-            d_xp[:, i : i + length, :] += d_patches[:, :, i, :]
-        return d_xp[:, pad : pad + length, :], d_kernel, d_bias
+            # tap i of output step t reads input step t + i - pad
+            lo, hi = max(0, pad - i), min(length, length + pad - i)
+            d_x[:, lo + i - pad : hi + i - pad] += d_patches[:, lo:hi, i]
+        return d_x, d_kernel, d_bias
 
-    return _make_output(out, (x, kernel, bias), "conv1d_same", rule)
+    result = _make_output(out, (x, kernel, bias), "conv1d_same", rule)
+    np.maximum(out, 0, out=out)  # after the finiteness check
+    return result
 
 
 def _window_max(xd: np.ndarray, pool: int):
@@ -395,7 +401,7 @@ def bilstm(
                            halves[k], *saved[k], reverse=bool(k))
             for k in range(2)
         )
-        return (dx_f + dx_b).reshape(x.shape), dw_f, db_f, dw_b, db_b
+        return dx_f.reshape(x.shape) + dx_b.reshape(x.shape), dw_f, db_f, dw_b, db_b
 
     return _make_output(out, inputs, "bilstm", rule)
 
@@ -414,8 +420,8 @@ def dropout(x: Tensor, p: float, mode: str = "infer", rng=None) -> Tensor:
     return _make_output(x.data * keep, (x,), "dropout", lambda g: (g * keep,))
 
 
-def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine projection x @ W + b for [B, in] inputs."""
+def dense(x: Tensor, weight: Tensor, bias: Tensor, *, relu: bool) -> Tensor:
+    """Affine projection x @ W + b for [B, in] inputs, then ReLU with ``relu``."""
     if x.ndim != 2 or weight.ndim != 2:
         raise ShapeError(f"dense needs 2-D operands, got {x.shape} @ {weight.shape}")
     if x.shape[1] != weight.shape[0]:
@@ -423,11 +429,16 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != weight.shape[1:]:
         raise ShapeError(f"dense bias shape {bias.shape} does not match [out]={weight.shape[1:]}")
     xd, wd = x.data, weight.data
+    out = xd @ wd + bias.data
 
     def rule(g):
+        g = g * (out > 0) if relu else g
         return g @ wd.T, xd.T @ g, _colsum(g)
 
-    return _make_output(xd @ wd + bias.data, (x, weight, bias), "dense", rule)
+    result = _make_output(out, (x, weight, bias), "dense", rule)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return result
 
 
 def _require_steps(x: Tensor, layer: str) -> None:

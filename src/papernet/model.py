@@ -2,9 +2,12 @@
 
 The full variant chains Conv(32,k5)+ReLU+BN -> Conv(64,k5)+ReLU+BN ->
 MaxPool2 -> Conv(128,k3)+ReLU+BN -> SE residual attention -> BiLSTM ->
-global max pool -> Dense(128)+ReLU -> Dropout -> Dense(K)+Softmax.
-Variants: no_attention drops the SE block, no_lstm swaps the recurrent
-aggregator for global average pooling, no_residual scales without the skip.
+global max pool -> Dense(128)+ReLU -> Dropout -> Dense(K)+Softmax. The
+ReLUs run inside the conv and dense layers; :func:`forward` returns logits,
+and the softmax runs in the loss and the inference loop of
+:mod:`papernet.training`. Variants: no_attention drops the SE block, no_lstm
+swaps the recurrent aggregator for global average pooling, no_residual
+scales without the skip.
 
 The parameters, running statistics included, live in one
 :class:`~papernet.tensor.ParamBuffer` in ``params`` order, which is also
@@ -23,7 +26,7 @@ import numpy as np
 from .dsp import NUM_CHANNELS
 from .errors import ShapeError
 from . import layers
-from .tensor import ParamBuffer, Tensor, relu, softmax_lastaxis
+from .tensor import ParamBuffer, Tensor
 
 VARIANTS = ("full", "no_attention", "no_lstm", "no_residual")
 
@@ -191,11 +194,11 @@ def forward(
     return_attention: bool = False,
     trace: list | None = None,
 ):
-    """Run the network on a [B, T, 1] batch and return [B, K] probabilities.
+    """Run the network on a [B, T, 1] batch and return [B, K] logits.
 
     ``trace``, when a list, collects (stage, per_sample_shape) pairs.
     With ``return_attention`` the per-sample attention vector is returned
-    alongside the probabilities (errors on the no_attention variant).
+    alongside the logits (errors on the no_attention variant).
     """
     if return_attention and model.variant == "no_attention":
         raise ValueError("the no_attention variant has no attention weights")
@@ -215,7 +218,6 @@ def forward(
 
     for i in (1, 2, 3):
         x = layers.conv1d_same(x, p[f"conv{i}.kernel"], p[f"conv{i}.bias"])
-        x = relu(x)
         x = layers.batchnorm(
             x,
             p[f"bn{i}.gamma"],
@@ -256,14 +258,14 @@ def forward(
         x = layers.global_max_pool_time(x)
         record("pool", x)
 
-    x = relu(layers.dense(x, p["dense1.weight"], p["dense1.bias"]))
+    x = layers.dense(x, p["dense1.weight"], p["dense1.bias"], relu=True)
     record("dense1", x)
     x = layers.dropout(x, p=model.dropout_p, mode=mode, rng=rng)
-    probs = softmax_lastaxis(layers.dense(x, p["dense2.weight"], p["dense2.bias"]))
-    record("output", probs)
+    logits = layers.dense(x, p["dense2.weight"], p["dense2.bias"], relu=False)
+    record("output", logits)
     if return_attention:
-        return probs, attn
-    return probs
+        return logits, attn
+    return logits
 
 
 def count_parameters(model: ModelGraph) -> int:

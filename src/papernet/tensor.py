@@ -1,14 +1,12 @@
 """Minimal dense tensor with tape-based reverse-mode differentiation, and
 the flat buffer a model's parameters live in.
 
-Training runs in float32; gradient checks run in float64. Every operation
-validates that its output is finite (one ``np.isfinite(...).all()``, exact
-for large finite float64 values) and, while a tape is active, records a
-backward rule so one reverse sweep yields exact gradients. Only the ops the
-model calls between its layers live here: ``relu`` and
-``softmax_lastaxis``. Each layer in :mod:`papernet.layers` (the global
-pools too) and the training loss record their one node through
-:func:`_make_output` with a hand-written rule.
+Training runs in float32; gradient checks run in float64. The tape holds no
+math of its own: each layer in :mod:`papernet.layers` (ReLU included, inside
+the convolution and dense layers) and the training loss (softmax and L2
+penalty included) record their one node through :func:`_make_output` with a
+hand-written rule. :func:`_make_output` validates that the output is finite
+(one ``np.isfinite(...).all()``, exact for large finite float64 values).
 
 State that only a backward pass reads (a ReLU mask, the position of a
 pooled maximum) is computed inside the rule, and a layer that must keep
@@ -74,16 +72,36 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient. A parameter's first gradient is copied
+        into its buffer slot. Any other tensor keeps a first ``g`` that owns
+        its memory (``g.base is None``) and has its dtype, uncopied, and
+        copies a view; :func:`backward` passes as a view whatever a rule
+        returns that a tensor already holds: its own ``g``, or an array it
+        returned for an earlier input."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match data shape {self.shape}")
         if self.grad is not None:
             self.grad += g
-        elif self.home is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            buffer, start = self.home
-            self.grad = buffer.grad_array()[start : start + self.size].reshape(self.shape)
+        elif self.home is not None:
+            self.grad = self._grad_slot()
             np.copyto(self.grad, g)
+        elif g.base is None and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.grad = g.astype(self.data.dtype, copy=True)
+
+    def accumulate_scaled_data(self, scale) -> None:
+        """Add ``data * scale``, an L2 penalty's gradient; in one pass into
+        the buffer slot of a parameter with no gradient yet."""
+        if self.grad is None and self.home is not None:
+            self.grad = self._grad_slot()
+            np.multiply(self.data, scale, out=self.grad)
+        else:
+            self.accumulate_grad(self.data * scale)
+
+    def _grad_slot(self) -> np.ndarray:
+        buffer, start = self.home
+        return buffer.grad_array()[start : start + self.size].reshape(self.shape)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -96,7 +114,8 @@ class ParamBuffer:
     ``data`` is the whole array; ``grad`` is the matching gradient array,
     None until a tensor receives a gradient. A tensor's ``grad`` is then its
     view of ``grad``, so gradients reach the buffer only through
-    :meth:`Tensor.accumulate_grad`, never by assigning ``grad``. The buffer
+    :meth:`Tensor.accumulate_grad` and :meth:`Tensor.accumulate_scaled_data`,
+    never by assigning ``grad``. The buffer
     keeps no reference to its tensors: without a cycle, a dropped model's
     arrays are freed at once rather than at the next garbage collection.
     """
@@ -192,19 +211,14 @@ def backward(tape: ComputationTape, loss: Tensor) -> None:
     for node in reversed(tape.nodes):
         g_out = node.output.grad
         if g_out is not None:
-            grads = node.rule(g_out)
-            for inp, g in zip(node.inputs, grads):
+            held = [g_out]
+            for inp, g in zip(node.inputs, node.rule(g_out)):
                 if g is not None and inp.requires_grad:
-                    inp.accumulate_grad(g)
+                    # an array some tensor already holds goes in as a view: copied
+                    inp.accumulate_grad(g.view() if any(g is h for h in held) else g)
+                    held.append(g)
         # the rule's closure holds the node's saved state
         node.rule, node.inputs = None, ()
-
-
-def _check_finite(arr: np.ndarray, opname: str) -> None:
-    # elementwise: no float64 copy of float32 data, and no sum that large
-    # finite float64 values could overflow
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values produced by {opname}")
 
 
 def _recording(inputs: Sequence[Tensor]) -> bool:
@@ -214,39 +228,14 @@ def _recording(inputs: Sequence[Tensor]) -> bool:
 
 
 def _make_output(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule) -> Tensor:
-    _check_finite(data, name)
+    # elementwise: no float64 copy of float32 data, and no sum that large
+    # finite float64 values could overflow
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"non-finite values produced by {name}")
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if _recording(inputs):
         _active_tape().record(name, inputs, out, rule)
     return out
-
-
-# ---------------------------------------------------------------------------
-# activations
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-
-    def rule(g):
-        return (g * (a.data > 0),)
-
-    return _make_output(data, (a,), "relu", rule)
-
-
-def softmax_lastaxis(a: Tensor) -> Tensor:
-    """Row-stable softmax along the last axis."""
-    if a.shape[-1] < 1:
-        raise ShapeError("softmax needs a non-empty last axis")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def rule(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return ((g - dot) * data,)
-
-    return _make_output(data, (a,), "softmax_lastaxis", rule)
 
 
 # ---------------------------------------------------------------------------

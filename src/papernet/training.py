@@ -1,13 +1,14 @@
 """Optimization protocol and the inference loop.
 
-Training: weighted cross-entropy with an L2 penalty (one fused tape node,
-:func:`weighted_cross_entropy`), Adam, checkpointing, and per-epoch history
+Training: weighted cross-entropy on the model's logits, with the softmax
+and an L2 penalty inside its one tape node (:func:`weighted_cross_entropy`),
+Adam, checkpointing, and per-epoch history
 logging. Adam updates the model's whole parameter buffer with a fixed run
 of numpy calls, over flat moments and scratch space kept between steps. One
 stall counter (:class:`Plateau`) on validation macro-F1 drives both
 reduce-on-plateau and early stopping. Inference: :func:`infer_batches` runs
-the infer-mode forward ``INFER_BATCH`` rows at a time for
-:func:`predict_probs` and :func:`export_attention`.
+the infer-mode forward ``INFER_BATCH`` rows at a time, and the same softmax
+as the loss, for :func:`predict_probs` and :func:`export_attention`.
 """
 
 from __future__ import annotations
@@ -141,26 +142,28 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         p -= step
 
 
-def weighted_cross_entropy(
-    probs: Tensor,
-    onehot,
-    class_w=None,
-    model: ModelGraph | None = None,
-    l2: float = 0.0,
-) -> Tensor:
-    """Mean of -w_y * log(p_y) over the batch, log floored at 1e-12, plus
-    l2 * sum of squared weight-matrix entries (biases and BN excluded).
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-stable softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
-    One tape node over ``probs`` and, with ``l2 > 0`` and a model, its
-    weight matrices. The gradient is -w_y / (B * p_y) where p_y > 1e-12, 0
-    at or below the floor, and 2 * l2 * W for each weight matrix.
+
+def weighted_cross_entropy(logits: Tensor, onehot, class_w=None,
+                           model: ModelGraph | None = None, l2: float = 0.0) -> Tensor:
+    """Mean of -w_y * log(p_y) over the batch, p = softmax(logits), log
+    floored at 1e-12, plus l2 * sum of squared weight-matrix entries.
+
+    One tape node over ``logits``, recorded when they require grad, as a
+    model's do. The gradient of p, -w_y / (B * p_y) where p_y > 1e-12 and 0
+    at or below the floor, goes back through the softmax; with ``l2 > 0``
+    and a model, 2 * l2 * W goes into each weight matrix's gradient slot.
     """
     onehot = np.asarray(onehot)
-    if onehot.shape != probs.shape:
-        raise ValueError(f"one-hot shape {onehot.shape} does not match probs {probs.shape}")
-    weights = np.ones(probs.shape[1]) if class_w is None else np.asarray(class_w)
-    picked = (onehot * weights).astype(probs.dtype)
-    p = probs.data
+    if onehot.shape != logits.shape:
+        raise ValueError(f"one-hot shape {onehot.shape} does not match logits {logits.shape}")
+    weights = np.ones(logits.shape[1]) if class_w is None else np.asarray(class_w)
+    picked = (onehot * weights).astype(logits.dtype)
+    p = _softmax(logits.data)
     floored = np.maximum(p, p.dtype.type(LOG_FLOOR))
     loss = -(picked * np.log(floored)).sum(axis=1).mean(axis=0)
     matrices = model.weight_matrices() if l2 > 0.0 and model is not None else []
@@ -169,10 +172,13 @@ def weighted_cross_entropy(
         loss = loss + sum((w.data * w.data).sum() for w in matrices) * l2
 
     def rule(g):
-        d_probs = (-g / len(p)) * picked / floored * (p > LOG_FLOOR)
-        return (d_probs, *(g * l2 * w.data * 2 for w in matrices))
+        for w in matrices:
+            w.accumulate_scaled_data(g * l2 * 2)
+        d_p = (-g / len(p)) * picked / floored * (p > LOG_FLOOR)
+        dot = (d_p * p).sum(axis=-1, keepdims=True)
+        return ((d_p - dot) * p,)
 
-    return _make_output(loss, (probs, *matrices), "weighted_cross_entropy", rule)
+    return _make_output(loss, (logits,), "weighted_cross_entropy", rule)
 
 
 class Plateau:
@@ -244,7 +250,9 @@ def infer_batches(model: ModelGraph, rows, return_attention: bool = False) -> np
         for start in range(0, len(rows), INFER_BATCH):
             result = forward(model, rows[start : start + INFER_BATCH], mode="infer",
                              return_attention=return_attention)
-            out[start : start + INFER_BATCH] = (result[1] if return_attention else result).data
+            out[start : start + INFER_BATCH] = (
+                result[1].data if return_attention else _softmax(result.data)
+            )
     return out
 
 
@@ -314,9 +322,9 @@ def train(
                 drop_rng = np.random.default_rng([config.seed, epoch, batch_no])
                 try:
                     with ComputationTape() as tape:
-                        probs = forward(model, x_train[idx], mode="train", rng=drop_rng)
+                        logits = forward(model, x_train[idx], mode="train", rng=drop_rng)
                         loss = weighted_cross_entropy(
-                            probs, eye[y_train[idx]], weights, model, config.l2
+                            logits, eye[y_train[idx]], weights, model, config.l2
                         )
                         backward(tape, loss)
                 except NonFiniteError as exc:
@@ -324,7 +332,8 @@ def train(
                 adam_step(trainable, adam, lr_used)
                 model.zero_grad()
                 loss_sum += loss.item() * len(idx)
-                correct += int(np.sum(probs.data.argmax(axis=1) == y_train[idx]))
+                # argmax of p, as evaluation takes it: close logits can round to equal p
+                correct += int(np.sum(_softmax(logits.data).argmax(axis=1) == y_train[idx]))
         try:
             val_probs = predict_probs(model, x_val)
         except NonFiniteError as exc:

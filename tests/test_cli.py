@@ -170,10 +170,10 @@ class TestBenchCommand:
 class TestGradcheckCommand:
     def test_passing_subset_exit_0(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            checks_mod, "SUITE", {"relu": checks_mod.check_relu}
+            checks_mod, "SUITE", {"dense": checks_mod.check_dense}
         )
         assert run(["gradcheck"]) == 0
-        assert "PASS relu" in capsys.readouterr().out
+        assert "PASS dense" in capsys.readouterr().out
 
     def test_corrupted_backward_rule_exit_1(self, monkeypatch, capsys):
         def bad_tanh(x):
@@ -194,7 +194,7 @@ class TestGradcheckCommand:
 
         monkeypatch.setattr(
             checks_mod, "SUITE",
-            {"relu": checks_mod.check_relu, "tanh": corrupted_check},
+            {"dense": checks_mod.check_dense, "tanh": corrupted_check},
         )
         assert run(["gradcheck"]) == 1
         out = capsys.readouterr().out

@@ -35,7 +35,7 @@ import pytest
 from papernet.data import class_weights, stratified_split
 from papernet.model import VARIANTS, build_papernet, forward
 from papernet.tensor import ComputationTape, backward
-from papernet.training import TrainConfig, train, weighted_cross_entropy
+from papernet.training import TrainConfig, predict_probs, train, weighted_cross_entropy
 
 from conftest import make_synthetic
 
@@ -71,16 +71,14 @@ def batch_fingerprint(variant: str) -> dict[str, list[float]]:
     rows, y = features[:BATCH_ROWS, :, None], labels[:BATCH_ROWS]
     model = build_papernet(variant=variant, seed=7, dtype=np.float64)
     with ComputationTape() as tape:
-        probs = forward(model, rows, mode="train", rng=np.random.default_rng(5))
-        loss = weighted_cross_entropy(probs, np.eye(4)[y], class_weights(y, 4), model, l2=1e-4)
+        logits = forward(model, rows, mode="train", rng=np.random.default_rng(5))
+        loss = weighted_cross_entropy(logits, np.eye(4)[y], class_weights(y, 4), model, l2=1e-4)
         backward(tape, loss)
     pins = {f"grad {name}": summarize(p.grad) for name, p in model.trainable().items()}
-    if variant == "no_attention":
-        probs = forward(model, rows, mode="infer")
-    else:
-        probs, attention = forward(model, rows, mode="infer", return_attention=True)
+    if variant != "no_attention":
+        _, attention = forward(model, rows, mode="infer", return_attention=True)
         pins["infer attention"] = summarize(attention.data)
-    pins["infer probs"] = summarize(probs.data)
+    pins["infer probs"] = summarize(predict_probs(model, rows))
     return pins
 
 

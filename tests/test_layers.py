@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from papernet import layers
-from papernet.errors import ShapeError
-from papernet.tensor import ComputationTape, Tensor, gradcheck
+from papernet.errors import NonFiniteError, ShapeError
+from papernet.tensor import ComputationTape, Tensor, _make_output, backward, gradcheck
 
 
 def t(data, dtype=np.float64):
@@ -50,7 +50,7 @@ def _se(residual):
         (_se(residual=False), "se_residual_attention"),
         # dense acts on [B, F]: the first time step of x
         (lambda x: layers.dense(Tensor(x.data[:, 0], requires_grad=True), t(np.ones((3, 5))),
-                                t(np.ones(5))), "dense"),
+                                t(np.ones(5)), relu=True), "dense"),
         (lambda x: layers.dropout(x, 0.5, "train", np.random.default_rng(0)), "dropout"),
         (layers.global_avg_pool_time, "global_avg_pool_time"),
         (layers.global_max_pool_time, "global_max_pool_time"),
@@ -78,7 +78,8 @@ class TestFusedRuleGradcheck:
         "se_residual": _se_rule(True),
         "se_no_residual": _se_rule(False),
         "dense": lambda rng: (
-            layers.dense, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)]
+            lambda *a: layers.dense(*a, relu=False),
+            [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)],
         ),
         "dropout": lambda rng: (
             # a fresh rng per call keeps the mask fixed across evaluations
@@ -104,12 +105,13 @@ class TestFusedRuleGradcheck:
 
 class TestConv1dSame:
     def test_delta_kernel_is_identity(self):
+        # up to the ReLU the layer ends in
         rng = np.random.default_rng(0)
         x = t(rng.normal(size=(1, 9, 3)))
         kernel = np.zeros((5, 3, 3))
         kernel[2] = np.eye(3)  # centre tap, identity channel map
         out = layers.conv1d_same(x, t(kernel), t(np.zeros(3)))
-        np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, np.maximum(x.data, 0), atol=1e-12)
 
     def test_hand_oracle(self):
         # brute force: out[t] = sum_i in [t-1, t+1] of x[i], zeros outside
@@ -183,7 +185,7 @@ class TestConv1dSame:
 
 def _conv_pad_and_stack(x, kernel, bias, g):
     """Output and (dx, dkernel, dbias) of a same-padded convolution built
-    with ``np.pad`` and an ``np.stack`` of the k shifted slices."""
+    with ``np.pad`` and an ``np.stack`` of the k shifted slices, then ReLU."""
     k, c_in, c_out = kernel.shape
     batch, length, _ = x.shape
     pad = k // 2
@@ -192,13 +194,88 @@ def _conv_pad_and_stack(x, kernel, bias, g):
     w2d = kernel.reshape(k * c_in, c_out)
     out = flat @ w2d
     out += bias
-    gb = g.reshape(-1, c_out)
+    out = np.maximum(out, 0)
+    gb = (g * (out > 0).reshape(g.shape)).reshape(-1, c_out)
     d_patches = (gb @ w2d.T).reshape(batch, length, k, c_in)
     d_xp = np.zeros_like(xp)
     for i in range(k):
         d_xp[:, i : i + length] += d_patches[:, :, i]
     return (out.reshape(batch, length, c_out), d_xp[:, pad : pad + length],
             (flat.T @ gb).reshape(kernel.shape), gb.sum(axis=0))
+
+
+def relu_reference(a):
+    """The generic ReLU tape op that conv1d_same and dense(relu=True) absorbed."""
+    data = np.maximum(a.data, 0)
+
+    def rule(g):
+        return (g * (a.data > 0),)
+
+    return _make_output(data, (a,), "relu", rule)
+
+
+def _with_zero_channel(rng, x_shape, w_shape, dtype):
+    """Layer input, weight and bias whose output channel 1 is exactly 0
+    before the ReLU."""
+    x, w = rng.normal(size=x_shape).astype(dtype), rng.normal(size=w_shape).astype(dtype)
+    w[..., 1] = 0
+    bias = np.array([0.5, 0.0, -0.5, 0.0], dtype=dtype)
+    return x, w, bias
+
+
+class TestFusedRelu:
+    """The ReLU inside conv1d_same and dense against the layer followed by
+    ReLU, bitwise: outputs and all three gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_matches_conv_then_maximum(self, dtype):
+        rng = np.random.default_rng(9)
+        x, kernel, bias = _with_zero_channel(rng, (3, 6, 2), (3, 2, 4), dtype)
+        g = rng.normal(size=(3, 6, 4)).astype(dtype)
+        g[:, ::2] = -0.0
+        with ComputationTape() as tape:
+            out = layers.conv1d_same(Tensor(x, requires_grad=True),
+                                     Tensor(kernel, requires_grad=True), Tensor(bias))
+        assert not out.data[..., 1].any()
+        got = (out.data, *tape.nodes[0].rule(g))
+        for actual, expected in zip(got, _conv_pad_and_stack(x, kernel, bias, g)):
+            assert actual.dtype == expected.dtype and actual.shape == expected.shape
+            assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_matches_dense_then_relu_node(self, dtype):
+        rng = np.random.default_rng(10)
+        arrays = _with_zero_channel(rng, (5, 3), (3, 4), dtype)
+        g = rng.normal(size=(5, 4)).astype(dtype)
+        g[::2] = -0.0
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            with ComputationTape() as tape:
+                if fused:
+                    out = layers.dense(x, w, b, relu=True)
+                else:
+                    out = relu_reference(layers.dense(x, w, b, relu=False))
+                # a projection node hands g, bit for bit, to the output
+                loss = _make_output(np.asarray((out.data * g).sum()), (out,), "project",
+                                    lambda ones: (ones * g,))
+                backward(tape, loss)
+            results.append([out.data, x.grad, w.grad, b.grad])
+        assert not results[0][0][:, 1].any()
+        for actual, expected in zip(*results):
+            assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", ["conv1d_same", "dense"])
+    def test_non_finite_pre_activation_names_the_layer(self, layer, dtype):
+        # ReLU would turn the -inf into 0: the check runs before it
+        with pytest.raises(NonFiniteError, match=layer):
+            if layer == "conv1d_same":
+                layers.conv1d_same(t([[[1.0], [-np.inf], [2.0]]], dtype),
+                                   t(np.ones((3, 1, 1)), dtype), t([0.0], dtype))
+            else:
+                layers.dense(t([[1.0, -np.inf]], dtype), t(np.ones((2, 1)), dtype),
+                             t([0.0], dtype), relu=True)
 
 
 class TestMaxPool:
@@ -616,28 +693,30 @@ class TestDense:
 
     def test_identity(self):
         a = [[1.0, 2.0], [3.0, 4.0]]
-        out = layers.dense(Tensor(np.eye(2)), Tensor(a), self._zero(2))
+        out = layers.dense(Tensor(np.eye(2)), Tensor(a), self._zero(2), relu=False)
         np.testing.assert_array_equal(out.data, a)
 
     def test_zero(self):
-        out = layers.dense(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]), Tensor([0.5]))
+        out = layers.dense(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]), Tensor([0.5]), relu=False)
         np.testing.assert_array_equal(out.data, [[0.5]])
 
     def test_hand_oracle(self):
         # [[1,2],[3,4]] @ [[5],[6]] + 1 tallied by hand: [1*5+2*6+1, 3*5+4*6+1]
-        out = layers.dense(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]), Tensor([1.0]))
+        out = layers.dense(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]), Tensor([1.0]),
+                           relu=False)
         np.testing.assert_array_equal(out.data, [[18.0], [40.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="inner"):
-            layers.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), self._zero(3))
+            layers.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), self._zero(3), relu=True)
         with pytest.raises(ShapeError, match="2-D"):
-            layers.dense(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((1, 3))), self._zero(3))
+            layers.dense(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((1, 3))), self._zero(3), relu=True)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 3), ()])
     def test_bias_shape_checked(self, shape):
         with pytest.raises(ShapeError, match="bias"):
-            layers.dense(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
+            layers.dense(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)),
+                         relu=False)
 
 
 def _reduce_mean(x, g):

@@ -11,7 +11,7 @@ from papernet.model import (
     forward,
 )
 from papernet.tensor import ComputationTape
-from papernet.training import weighted_cross_entropy
+from papernet.training import predict_probs, weighted_cross_entropy
 
 EXPECTED_SHAPE_CHAIN = [
     ("conv_block1", (16, 32)),
@@ -84,8 +84,8 @@ class TestShapes:
         assert trace[-3] == ("pool", (128,))
 
     def test_rows_sum_to_one(self):
-        probs = forward(build_papernet(), batch(32))
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
+        probs = predict_probs(build_papernet(), batch(32))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_wrong_input_shape(self):
         m = build_papernet()
@@ -100,9 +100,9 @@ class TestForwardDeterminism:
         m = build_papernet(seed=1)
         x = batch(1, seed=2)
         dup = np.concatenate([x, x, x], axis=0)
-        probs = forward(m, dup).data
-        np.testing.assert_array_equal(probs[0], probs[1])
-        np.testing.assert_array_equal(probs[0], probs[2])
+        logits = forward(m, dup).data
+        np.testing.assert_array_equal(logits[0], logits[1])
+        np.testing.assert_array_equal(logits[0], logits[2])
 
     def test_infer_is_pure(self):
         m = build_papernet(seed=1)
@@ -173,7 +173,7 @@ class TestParameterCounts:
 class TestAttention:
     def test_capture_shape_and_range(self):
         m = build_papernet(seed=6)
-        probs, attn = forward(m, batch(5, seed=7), return_attention=True)
+        _, attn = forward(m, batch(5, seed=7), return_attention=True)
         assert attn.shape == (5, 128)
         assert np.all(attn.data > 0) and np.all(attn.data < 1)
 
@@ -187,16 +187,17 @@ class TestVariantsForward:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_variants_produce_probabilities(self, variant):
         m = build_papernet(variant=variant, seed=8)
-        probs = forward(m, batch(4, seed=9))
+        assert forward(m, batch(4, seed=9)).shape == (4, 4)
+        probs = predict_probs(m, batch(4, seed=9))
         assert probs.shape == (4, 4)
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_train_mode_needs_rng_for_dropout(self):
         m = build_papernet(seed=10)
         with pytest.raises(ValueError):
             forward(m, batch(4), mode="train")
-        probs = forward(m, batch(4), mode="train", rng=np.random.default_rng(0))
-        assert probs.shape == (4, 4)
+        logits = forward(m, batch(4), mode="train", rng=np.random.default_rng(0))
+        assert logits.shape == (4, 4)
 
 
 def test_every_node_of_a_train_step_is_gradchecked(monkeypatch):
@@ -218,7 +219,7 @@ def test_every_node_of_a_train_step_is_gradchecked(monkeypatch):
         model = build_papernet(variant=variant, seed=0)
         rng = np.random.default_rng(0)
         with ComputationTape() as tape:
-            probs = forward(model, batch(8), mode="train", rng=rng)
-            weighted_cross_entropy(probs, np.eye(4)[np.arange(8) % 4], None, model, 1e-4)
+            logits = forward(model, batch(8), mode="train", rng=rng)
+            weighted_cross_entropy(logits, np.eye(4)[np.arange(8) % 4], None, model, 1e-4)
         unchecked = {node.name for node in tape.nodes} - checked
         assert not unchecked, f"{variant} records nodes no check covers: {sorted(unchecked)}"

@@ -6,18 +6,24 @@ import pytest
 
 from papernet.errors import NonFiniteError, ShapeError, TapeError
 from papernet.layers import dense, global_avg_pool_time, global_max_pool_time
-from papernet.tensor import (
-    ComputationTape,
-    Tensor,
-    backward,
-    gradcheck,
-    relu,
-    softmax_lastaxis,
-)
+from papernet.tensor import ComputationTape, Tensor, _make_output, backward, gradcheck
+from papernet.training import weighted_cross_entropy
 
 
 def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+
+
+def relu(x):
+    """ReLU as a dense layer with the identity weight and a zero bias."""
+    n = x.shape[-1]
+    return dense(x, Tensor(np.eye(n, dtype=x.dtype)), Tensor(np.zeros(n, dtype=x.dtype)),
+                 relu=True)
+
+
+def loss_on_logits(z, labels=0):
+    """The unweighted training loss of [B, K] logits, every row of one label."""
+    return weighted_cross_entropy(z, np.eye(z.shape[1])[np.broadcast_to(labels, z.shape[:1])])
 
 
 class TestTensorBasics:
@@ -41,40 +47,52 @@ class TestTensorBasics:
 
 
 class TestActivations:
+    """ReLU inside the dense layer and the softmax inside the loss."""
+
     def test_relu_definition(self):
-        out = relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        out = relu(Tensor([[-1.0, 0.0, 2.0]]))
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
 
     @pytest.mark.parametrize("c", [-3.0, 0.0, 7.5])
     def test_softmax_symmetry(self, c):
-        out = softmax_lastaxis(Tensor([c, c, c, c]))
-        np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-7)
+        # equal logits: p = 1/4 each, so the loss is log 4 and d/dz = p - onehot
+        z = t64([[c, c, c, c]], requires_grad=True)
+        with ComputationTape() as tape:
+            loss = loss_on_logits(z)
+            backward(tape, loss)
+        assert loss.item() == pytest.approx(np.log(4.0), rel=1e-12)
+        np.testing.assert_allclose(z.grad, [[-0.75, 0.25, 0.25, 0.25]], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
+        # above the floor the logit gradient is (p - onehot) / B: recover p
         rng = np.random.default_rng(0)
         for _ in range(10):
-            out = softmax_lastaxis(Tensor(rng.normal(0, 3, size=(5, 7))))
-            np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
-            assert np.all(out.data > 0) and np.all(out.data < 1)
+            z = t64(rng.normal(0, 3, size=(5, 7)), requires_grad=True)
+            with ComputationTape() as tape:
+                backward(tape, loss_on_logits(z, labels=2))
+            p = len(z.data) * z.grad + np.eye(7)[2]
+            np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+            assert np.all(p > 0) and np.all(p < 1)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(NonFiniteError):
-            relu(Tensor(np.array([np.nan])))
+            relu(Tensor(np.array([[np.nan]])))
 
     def test_large_finite_float64_accepted_without_warning(self):
         # the float64 sum of these overflows, though every value is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = relu(t64([1e308, 1e308]))
-        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+            out = relu(t64([[1e308, 1e308]]))
+        np.testing.assert_array_equal(out.data, [[1e308, 1e308]])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_non_finite_output_rejected(self, dtype, value):
+        # -inf is checked before ReLU would turn it into 0
         x = Tensor(np.array([[1.0, value]], dtype=dtype))
         ones, zero = Tensor(np.ones((2, 1), dtype=dtype)), Tensor(np.zeros(1, dtype=dtype))
         with pytest.raises(NonFiniteError, match="dense"):
-            dense(x, ones, zero)
+            dense(x, ones, zero, relu=True)
 
 
 class TestReductions:
@@ -101,7 +119,7 @@ class TestReductions:
 def dense_sum(x):
     """Sum of a [1, n] row as one dense node: x @ ones + 0, shape [1, 1]."""
     n = x.shape[1]
-    return dense(x, t64(np.ones((n, 1))), t64([0.0]))
+    return dense(x, t64(np.ones((n, 1))), t64([0.0]), relu=False)
 
 
 class TestBackward:
@@ -116,7 +134,7 @@ class TestBackward:
         # x as both the input and the weight of one dense node: loss = x^2
         x = t64([[3.0]], requires_grad=True)
         with ComputationTape() as tape:
-            loss = dense(x, x, t64([0.0]))
+            loss = dense(x, x, t64([0.0]), relu=False)
             backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [[6.0]])
 
@@ -133,14 +151,14 @@ class TestBackward:
         with ComputationTape() as tape:
             loss = dense_sum(relu(x))
             backward(tape, loss)
-        assert [node.name for node in tape.nodes] == ["relu", "dense"]
+        assert [node.name for node in tape.nodes] == ["dense", "dense"]
         assert all(node.rule is None and node.inputs == () for node in tape.nodes)
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
         with pytest.raises(TapeError):
             backward(tape, loss)
 
     def test_loss_must_be_scalar(self):
-        x = t64([1.0, 2.0], requires_grad=True)
+        x = t64([[1.0, 2.0]], requires_grad=True)
         with ComputationTape() as tape:
             y = relu(x)
             with pytest.raises(ShapeError):
@@ -159,7 +177,7 @@ class TestBackward:
         w = t64([[1.0, -1.0], [2.0, 3.0]], requires_grad=True)
         zero = t64([0.0, 0.0])
         with ComputationTape() as tape:
-            loss = dense_sum(dense(dense(x, w, zero), w, zero))
+            loss = dense_sum(dense(dense(x, w, zero, relu=False), w, zero, relu=False))
             backward(tape, loss)
         assert [node.name for node in tape.nodes] == ["dense"] * 3
         u = np.ones((2, 1))
@@ -170,7 +188,7 @@ class TestBackward:
         big = Tensor(np.array([[3e38]], dtype=np.float32))
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteError):
-                dense(big, big, Tensor(np.zeros(1, dtype=np.float32)))
+                dense(big, big, Tensor(np.zeros(1, dtype=np.float32)), relu=False)
 
 
 class TestGradcheck:
@@ -179,21 +197,25 @@ class TestGradcheck:
         w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
         b = Tensor(rng.normal(size=3), dtype=np.float64)
         point = Tensor(rng.normal(size=(2, 4)), requires_grad=True, dtype=np.float64)
-        err = gradcheck(lambda x: dense(x, w, b), point)
+        err = gradcheck(lambda x: dense(x, w, b, relu=False), point)
         assert err < 1e-10
 
     def test_softmax_at_point(self):
-        err = gradcheck(softmax_lastaxis, t64([0.3, -0.2], requires_grad=True))
+        err = gradcheck(loss_on_logits, t64([[0.3, -0.2]], requires_grad=True))
         assert err < 1e-7
 
     def test_requires_float64(self):
         with pytest.raises(ShapeError):
-            gradcheck(relu, Tensor([0.3], dtype=np.float32))
+            gradcheck(relu, Tensor([[0.3]], dtype=np.float32))
 
+    # ReLU inputs at least 0.1 from the kink; the loss on random logits and labels
     OPS = {
         "relu": lambda rng: (relu,
                              [np.sign(rng.normal(size=(4, 3))) * rng.uniform(0.1, 1.0, size=(4, 3))]),
-        "softmax": lambda rng: (softmax_lastaxis, [rng.normal(size=(3, 5))]),
+        "softmax": lambda rng: (
+            lambda z, labels=rng.integers(0, 5, size=3): loss_on_logits(z, labels),
+            [rng.normal(size=(3, 5))],
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -208,7 +230,7 @@ class TestGradcheck:
 
 class TestTapeScoping:
     def test_no_recording_without_tape(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([[1.0]], requires_grad=True)
         y = relu(x)
         assert y.requires_grad
         tape = ComputationTape()
@@ -218,8 +240,53 @@ class TestTapeScoping:
         x = t64([[2.0]], requires_grad=True)
         with ComputationTape() as outer:
             with ComputationTape() as inner:
-                loss = dense_sum(dense(x, x, t64([0.0])))
+                loss = dense_sum(dense(x, x, t64([0.0]), relu=False))
             assert len(inner.nodes) == 2
             assert len(outer.nodes) == 0
         backward(inner, loss)
         np.testing.assert_array_equal(x.grad, [[4.0]])
+
+
+class TestGradOwnership:
+    """A rule's fresh output becomes the gradient as is; nothing else does."""
+
+    def test_fresh_rule_output_is_kept(self):
+        x = t64([[1.0, 2.0]], requires_grad=True)
+        made = []
+
+        def rule(g):
+            made.append(g * 3.0)
+            return (made[-1],)
+
+        with ComputationTape() as tape:
+            loss = dense_sum(_make_output(x.data * 3.0, (x,), "triple", rule))
+            backward(tape, loss)
+        assert x.grad is made[0]
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+    def test_no_two_tensors_share_a_gradient(self):
+        a, b, c, d = (t64([[1.0, 2.0]], requires_grad=True) for _ in range(4))
+        held = t64([[5.0, 6.0]])
+        fresh = np.array([[7.0, 8.0]])
+        with ComputationTape() as tape:
+            # its own g to both inputs
+            y = _make_output(a.data + b.data, (a, b), "both", lambda g: (g, g))
+            # one fresh array to both inputs
+            w = _make_output(c.data + d.data, (c, d), "same", lambda g: (fresh, fresh))
+            # a view of an array another tensor holds, and a view of g
+            z = _make_output(y.data + w.data, (y, w), "views",
+                             lambda g: (held.data[:, ::1], g.reshape(1, 2)))
+            loss = dense_sum(z)
+            backward(tape, loss)
+        grads = {"a": a.grad, "b": b.grad, "c": c.grad, "d": d.grad,
+                 "y": y.grad, "w": w.grad, "z": z.grad}
+        arrays = {**grads, "held": held.data}
+        for i, (n1, g1) in enumerate(arrays.items()):
+            for n2, g2 in list(arrays.items())[i + 1 :]:
+                assert not np.shares_memory(g1, g2), (n1, n2)
+        assert c.grad is fresh
+        for name in "aby":
+            np.testing.assert_array_equal(grads[name], [[5.0, 6.0]], err_msg=name)
+        for name in "cd":
+            np.testing.assert_array_equal(grads[name], [[7.0, 8.0]], err_msg=name)
+        np.testing.assert_array_equal(w.grad, [[1.0, 1.0]])

@@ -7,8 +7,9 @@ import papernet.training as training_mod
 from papernet.data import load_weights, save_weights, stratified_split
 from papernet.errors import ConfigError, TrainingError
 from papernet.model import build_papernet, forward
-from papernet.tensor import ComputationTape, ParamBuffer, Tensor, backward, softmax_lastaxis
+from papernet.tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward
 from papernet.training import (
+    LOG_FLOOR,
     AdamState,
     Plateau,
     TrainConfig,
@@ -26,30 +27,58 @@ def history_rows_without_seconds(path):
     return [",".join(line.split(",")[:-1]) for line in lines]
 
 
+def softmax_reference(a):
+    """The generic softmax tape op that the loss absorbed."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=-1, keepdims=True)
+
+    def rule(g):
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        return ((g - dot) * data,)
+
+    return _make_output(data, (a,), "softmax_lastaxis", rule)
+
+
+def loss_on_probs_reference(probs, onehot, class_w=None):
+    """The loss node as it was when it took probabilities, without L2."""
+    weights = np.ones(probs.shape[1]) if class_w is None else np.asarray(class_w)
+    picked = (onehot * weights).astype(probs.dtype)
+    p = probs.data
+    floored = np.maximum(p, p.dtype.type(LOG_FLOOR))
+    loss = -(picked * np.log(floored)).sum(axis=1).mean(axis=0)
+
+    def rule(g):
+        return ((-g / len(p)) * picked / floored * (p > LOG_FLOOR),)
+
+    return _make_output(loss, (probs,), "weighted_cross_entropy", rule)
+
+
 class TestWeightedCrossEntropy:
     def test_perfect_predictions_zero_loss(self):
+        # a logit gap of 1000: the other classes' probabilities underflow to 0
         onehot = np.eye(4)[[0, 1, 2, 3]]
-        loss = weighted_cross_entropy(Tensor(onehot.astype(np.float64)), onehot)
+        loss = weighted_cross_entropy(Tensor(1000.0 * onehot), onehot)
         assert loss.item() == 0.0
 
     def test_uniform_probs_log_k(self):
-        probs = Tensor(np.full((8, 4), 0.25))
+        logits = Tensor(np.zeros((8, 4)))
         onehot = np.eye(4)[np.arange(8) % 4]
-        loss = weighted_cross_entropy(probs, onehot)
+        loss = weighted_cross_entropy(logits, onehot)
         assert loss.item() == pytest.approx(np.log(4.0), rel=1e-6)
 
     def test_weight_scales_linearly(self):
-        probs = Tensor(np.full((6, 4), 0.25))
+        logits = Tensor(np.zeros((6, 4)))
         onehot = np.eye(4)[np.zeros(6, dtype=int)]
-        loss = weighted_cross_entropy(probs, onehot, class_w=[2.0, 1.0, 1.0, 1.0])
+        loss = weighted_cross_entropy(logits, onehot, class_w=[2.0, 1.0, 1.0, 1.0])
         assert loss.item() == pytest.approx(2.0 * np.log(4.0), rel=1e-6)
 
     def test_l2_penalty_added(self):
         model = build_papernet(seed=0, dtype=np.float64)
-        probs = Tensor(np.full((4, 4), 0.25))
+        logits = Tensor(np.zeros((4, 4)))
         onehot = np.eye(4)
-        plain = weighted_cross_entropy(probs, onehot).item()
-        with_l2 = weighted_cross_entropy(probs, onehot, model=model, l2=1e-3).item()
+        plain = weighted_cross_entropy(logits, onehot).item()
+        with_l2 = weighted_cross_entropy(logits, onehot, model=model, l2=1e-3).item()
         expected_penalty = 1e-3 * sum(
             float(np.sum(w.data**2)) for w in model.weight_matrices()
         )
@@ -57,28 +86,56 @@ class TestWeightedCrossEntropy:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            weighted_cross_entropy(Tensor(np.full((2, 4), 0.25)), np.eye(4))
+            weighted_cross_entropy(Tensor(np.zeros((2, 4))), np.eye(4))
 
     def test_floor_and_gradient_above_it(self):
-        # powers of two keep -w_y / (B * p_y) exact
-        probs = Tensor(np.array([[1e-13, 1 - 1e-13], [0.5, 0.5], [0.25, 0.75], [0.875, 0.125]]),
-                       requires_grad=True)
+        # row 0's p_y = e^-40 / (1 + e^-40) ~ 4.2e-18 is floored at 1e-12: it
+        # adds -w_y log(1e-12) and no gradient. Above the floor the logit
+        # gradient is w_y * (p - onehot) / B
+        logits = Tensor(np.array([[0.0, 40.0], [0.0, 0.0], [0.0, np.log(3.0)], [1.0, -1.0]]),
+                        requires_grad=True)
         w = np.array([2.0, 0.5])
         y = np.array([0, 1, 0, 1])
         with ComputationTape() as tape:
-            loss = weighted_cross_entropy(probs, np.eye(2)[y], w)
+            loss = weighted_cross_entropy(logits, np.eye(2)[y], w)
             backward(tape, loss)
-        p_y = np.array([1e-12, 0.5, 0.25, 0.125])  # the first row is floored
+        e = np.exp(logits.data)
+        p = e / e.sum(axis=1, keepdims=True)
+        p_y = np.maximum(p[np.arange(4), y], 1e-12)
         assert loss.item() == pytest.approx(np.sum(-w[y] * np.log(p_y)) / 4, rel=1e-12)
-        expected = np.zeros((4, 2))
-        expected[[1, 2, 3], y[1:]] = -w[y[1:]] / (4 * p_y[1:])
-        np.testing.assert_array_equal(probs.grad, expected)
+        expected = w[y][:, None] * (p - np.eye(2)[y]) / 4
+        expected[0] = 0.0
+        np.testing.assert_array_equal(logits.grad[0], [0.0, 0.0])
+        np.testing.assert_allclose(logits.grad, expected, rtol=1e-12, atol=1e-17)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_softmax_then_loss_on_probs_bitwise(self, dtype, weighted):
+        rng = np.random.default_rng(21)
+        z = rng.normal(0.0, 2.0, size=(6, 4)).astype(dtype)
+        z[0] = [0.0, 40.0, 0.0, 0.0]  # label 0: p_y ~ 4.2e-18, below the floor
+        onehot = np.eye(4)[[0, 1, 2, 3, 1, 0]]
+        class_w = [2.0, 0.5, 1.0, 1.5] if weighted else None
+        results = []
+        for fused in (True, False):
+            logits = Tensor(z.copy(), requires_grad=True)
+            with ComputationTape() as tape:
+                if fused:
+                    loss = weighted_cross_entropy(logits, onehot, class_w)
+                else:
+                    loss = loss_on_probs_reference(softmax_reference(logits), onehot, class_w)
+                backward(tape, loss)
+            results.append((loss.data, logits.grad))
+        assert not results[0][1][0].any()
+        for actual, expected in zip(*results):
+            assert actual.dtype == expected.dtype == dtype
+            assert actual.tobytes() == expected.tobytes()
 
     def test_penalty_gradient_is_two_l2_w(self):
         model = build_papernet(seed=0, dtype=np.float64)
-        probs = Tensor(np.full((4, 4), 0.25))
+        logits = Tensor(np.zeros((4, 4)), requires_grad=True)
         with ComputationTape() as tape:
-            backward(tape, weighted_cross_entropy(probs, np.eye(4), model=model, l2=1e-3))
+            backward(tape, weighted_cross_entropy(logits, np.eye(4), model=model, l2=1e-3))
         matrices = {id(w) for w in model.weight_matrices()}
         for name, p in model.params.items():
             if id(p) in matrices:
@@ -89,25 +146,24 @@ class TestWeightedCrossEntropy:
     @pytest.mark.parametrize("l2", [0.0, 1e-4])
     def test_one_tape_node(self, l2):
         model = build_papernet(seed=0)
-        probs = Tensor(np.full((4, 4), 0.25, dtype=np.float32), requires_grad=True)
+        logits = Tensor(np.zeros((4, 4), dtype=np.float32), requires_grad=True)
         with ComputationTape() as tape:
-            weighted_cross_entropy(probs, np.eye(4), [1.0, 2.0, 1.0, 0.5], model, l2)
+            weighted_cross_entropy(logits, np.eye(4), [1.0, 2.0, 1.0, 0.5], model, l2)
         assert [node.name for node in tape.nodes] == ["weighted_cross_entropy"]
 
 
-def test_b64_train_step_records_nineteen_tape_nodes():
+def test_b64_train_step_records_fourteen_tape_nodes():
     model = build_papernet(seed=0)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((64, 16, 1)).astype(np.float32)
     with ComputationTape() as tape:
-        probs = forward(model, x, mode="train", rng=rng)
-        backward(tape, weighted_cross_entropy(probs, np.eye(4)[np.arange(64) % 4], None,
+        logits = forward(model, x, mode="train", rng=rng)
+        backward(tape, weighted_cross_entropy(logits, np.eye(4)[np.arange(64) % 4], None,
                                               model, 1e-4))
-    block = ["conv1d_same", "relu", "batchnorm"]
+    block = ["conv1d_same", "batchnorm"]
     assert [node.name for node in tape.nodes] == [
         *block, *block, "maxpool1d", *block, "se_residual_attention", "bilstm",
-        "global_max_pool_time", "dense", "relu", "dropout", "dense", "softmax_lastaxis",
-        "weighted_cross_entropy",
+        "global_max_pool_time", "dense", "dropout", "dense", "weighted_cross_entropy",
     ]
 
 
@@ -136,8 +192,8 @@ def test_parameters_stay_views_of_the_flat_buffers(tmp_path, dtype):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, 16, 1)).astype(dtype)
     with ComputationTape() as tape:
-        probs = forward(model, x, mode="train", rng=rng)
-        backward(tape, weighted_cross_entropy(probs, np.eye(4)[np.arange(16) % 4], None,
+        logits = forward(model, x, mode="train", rng=rng)
+        backward(tape, weighted_cross_entropy(logits, np.eye(4)[np.arange(16) % 4], None,
                                               model, 1e-4))
     assert model.flat.grad is not None
     assert all(p.grad is not None for p in model.trainable().values())
@@ -431,13 +487,11 @@ class TestSoftmaxIntoLoss:
         rng = np.random.default_rng(13)
         logits = Tensor(rng.normal(size=(16, 4)), requires_grad=True, dtype=np.float64)
         onehot = np.eye(4)[rng.integers(0, 4, size=16)]
-        from papernet.tensor import ComputationTape, backward
-
         with ComputationTape() as tape:
-            loss = weighted_cross_entropy(softmax_lastaxis(logits), onehot)
+            loss = weighted_cross_entropy(logits, onehot)
             backward(tape, loss)
         stepped = Tensor(logits.data - 0.1 * logits.grad, dtype=np.float64)
-        new_loss = weighted_cross_entropy(softmax_lastaxis(stepped), onehot)
+        new_loss = weighted_cross_entropy(stepped, onehot)
         assert new_loss.item() < loss.item()
 
 
@@ -452,7 +506,9 @@ class TestInferBatches:
                     return_attention=attention)
             for start in (0, training_mod.INFER_BATCH)
         ]
-        expected = np.concatenate([(p[1] if attention else p).data for p in parts])
+        expected = np.concatenate(
+            [p[1].data if attention else training_mod._softmax(p.data) for p in parts]
+        )
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, expected)
 
