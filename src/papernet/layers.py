@@ -7,15 +7,15 @@ k consecutive rows of a zero-padded copy of the input, then ReLU, which
 every convolution of the model is followed by; :func:`dense` applies ReLU
 when asked. ReLU runs in place after the finiteness check, which it would
 defeat by turning -inf into 0, and its rule masks ``g`` by ``out > 0``.
-Sums over the leading axes (batch norm's statistics and its γ and β gradients, the dense
-and BiLSTM bias gradients) are one GEMV with a vector of ones each, several
-times faster than numpy's axis reductions at these shapes. Every layer
-records one tape node per call (infer-mode dropout, the identity, records
-none), so its backward rule is written by hand and covered by the gradient
-checks: convolution, max pooling, batch norm, the squeeze-and-excitation
-block, the BiLSTM (both directions in one node, with backpropagation
-through time in numpy), dropout, dense and the two global pools over
-time. Global max pooling is max pooling with one window of all T steps:
+Sums over the leading axes (batch norm's statistics and its γ and β
+gradients, the dense and BiLSTM bias gradients) are one GEMV with a vector
+of ones each, several times faster than numpy's axis reductions at these
+shapes. Every layer records one tape node per call (infer-mode dropout,
+the identity, records none), so its backward rule is written by hand and
+covered by the gradient checks: convolution, max pooling, batch norm, the
+squeeze-and-excitation block, the BiLSTM (both directions in one node,
+with backpropagation through time in numpy), dropout, dense and the two
+global pools over time. Global max pooling is max pooling with one window of all T steps:
 both run one private window-max forward and first-max rule.
 
 State only a backward pass reads is built only when a tape will record the

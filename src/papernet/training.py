@@ -2,13 +2,13 @@
 
 Training: weighted cross-entropy on the model's logits, with the softmax
 and an L2 penalty inside its one tape node (:func:`weighted_cross_entropy`),
-Adam, checkpointing, and per-epoch history
-logging. Adam updates the model's whole parameter buffer with a fixed run
-of numpy calls, over flat moments and scratch space kept between steps. One
-stall counter (:class:`Plateau`) on validation macro-F1 drives both
-reduce-on-plateau and early stopping. Inference: :func:`infer_batches` runs
-the infer-mode forward ``INFER_BATCH`` rows at a time, and the same softmax
-as the loss, for :func:`predict_probs` and :func:`export_attention`.
+Adam, checkpointing, and per-epoch history logging. Adam updates the
+model's whole parameter buffer with a fixed run of numpy calls, over flat
+moments and scratch space kept between steps. One stall counter
+(:class:`Plateau`) on validation macro-F1 drives both reduce-on-plateau and
+early stopping. Inference: :func:`infer_batches` runs the infer-mode
+forward ``INFER_BATCH`` rows at a time, and the same softmax as the loss,
+for :func:`predict_probs` and :func:`export_attention`.
 """
 
 from __future__ import annotations

@@ -708,9 +708,11 @@ class TestDense:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="inner"):
-            layers.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), self._zero(3), relu=True)
+            layers.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), self._zero(3),
+                         relu=True)
         with pytest.raises(ShapeError, match="2-D"):
-            layers.dense(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((1, 3))), self._zero(3), relu=True)
+            layers.dense(Tensor(np.zeros((2, 3, 1))), Tensor(np.zeros((1, 3))), self._zero(3),
+                         relu=True)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 3), ()])
     def test_bias_shape_checked(self, shape):
