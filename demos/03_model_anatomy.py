@@ -13,16 +13,18 @@ from papernet.model import (
     count_parameters,
     forward,
 )
+from papernet.training import predict_probs
 
 model = build_papernet(num_classes=4, input_length=16, seed=0)
 x = np.random.default_rng(0).standard_normal((2, 16, 1)).astype(np.float32)
 
 trace = []
-probs = forward(model, x, trace=trace)
+logits = forward(model, x, trace=trace)
 print("shape flow through the full model (per sample):")
 for stage, shape in trace:
     print(f"  {stage:12s} -> {shape}")
-print("output rows sum to", probs.data.sum(axis=1))
+# forward returns logits; the softmax runs in the loss and in predict_probs
+print("predict_probs rows sum to", *predict_probs(model, x).sum(axis=1).tolist())
 
 print("\nparameters by layer:")
 by_layer = {}
@@ -43,7 +45,7 @@ for variant in VARIANTS:
           f"(delta {full - count_parameters(m):+d})")
 
 # The squeeze-and-excitation block exposes its per-sample channel weights.
-probs, attn = forward(model, x, return_attention=True)
+logits, attn = forward(model, x, return_attention=True)
 print(f"\nattention vector shape {attn.shape}; "
       f"range [{attn.data.min():.3f}, {attn.data.max():.3f}]")
 top = np.argsort(-attn.data.mean(axis=0))[:5]

@@ -36,7 +36,7 @@ for r in history.records:
           f"{r.val_acc:7.3f}  {r.val_macro_f1:6.3f}  {r.lr:.1e}")
 
 probs = predict_probs(best, features[splits.test])
-report = evaluate_probs(labels[splits.test], probs, K)
+report = evaluate_probs(labels[splits.test], probs)
 print(f"\ntest accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}, "
       f"macro ROC-AUC {report.macro_auc:.4f}")
 print("confusion matrix:")

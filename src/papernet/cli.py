@@ -196,9 +196,7 @@ def _build_model(prepared: PreparedData, config: RunConfig, variant=None):
 def _evaluate_split(model, prepared: PreparedData, indices, config: RunConfig, outdir=None):
     """Score ``model`` on ``indices``; with ``outdir``, write report.json and roc.csv."""
     probs = predict_probs(model, prepared.features[indices])
-    report = metrics.evaluate_probs(
-        prepared.labels[indices], probs, prepared.num_classes, baseline_seed=config.seed
-    )
+    report = metrics.evaluate_probs(prepared.labels[indices], probs, baseline_seed=config.seed)
     report.extra = {
         "variant": model.variant,
         "split_hash": prepared.splits.hash(),
@@ -217,8 +215,8 @@ def _summary(report) -> str:
 
 
 def _export_attention_csv(model, prepared: PreparedData, indices, outdir: Path) -> None:
-    per_sample, mean = export_attention(model, prepared.features[indices])
-    data.attention_to_csv(outdir / "attention.csv", per_sample, mean)
+    per_sample = export_attention(model, prepared.features[indices])
+    data.attention_to_csv(outdir / "attention.csv", per_sample)
 
 
 def cmd_train(args) -> int:
@@ -340,7 +338,7 @@ def cmd_preprocess(args) -> int:
     data.write_csv(
         out_path,
         [f"X{i + 1}" for i in range(filtered.shape[1])] + ["y"],
-        ([repr(float(v)) for v in row] + [int(label)] for row, label in zip(filtered, raw.labels)),
+        (row + [label] for row, label in zip(filtered.tolist(), raw.labels.tolist())),
     )
     print(f"wrote {len(raw.labels)} filtered rows to {out_path}")
     return 0
@@ -383,10 +381,8 @@ SUBCOMMANDS = {
 }
 
 
-def _parser(flagged) -> argparse.ArgumentParser:
-    """Every subcommand, with the RunConfig flags added only to those named
-    in ``flagged`` that take them: one flag per config field costs about as
-    much to add as the rest of the parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: every subcommand with all of its flags."""
     parser = argparse.ArgumentParser(
         prog="papernet",
         description="EEG classification pipeline: DSP preprocessing, training, "
@@ -395,7 +391,7 @@ def _parser(flagged) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, configurable, arguments) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        if configurable and name in flagged:
+        if configurable:
             _add_config_flags(sub)
         for flags, options in arguments:
             sub.add_argument(*flags, **options)
@@ -403,17 +399,11 @@ def _parser(flagged) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command line: every subcommand with all of its flags."""
-    return _parser(SUBCOMMANDS)
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value, so the first word
-    # that is not an option names the subcommand, the only one parsed
-    chosen = next((a for a in argv if not a.startswith("-")), None)
-    args = _parser({chosen}).parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``) with :func:`build_parser`,
+    run the chosen subcommand and return its exit code. A usage error exits
+    2 from argparse; a papernet error prints one line and returns 1, 2 or 3."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, FilterDesignError) as exc:

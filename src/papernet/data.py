@@ -253,18 +253,18 @@ def absent_classes(labels, num_classes: int) -> tuple[int, list[int]]:
     return num_classes - len(present), first
 
 
-def class_weights(labels, num_classes: int | None = None) -> np.ndarray:
-    """Inverse-frequency weights w_k = N / (K * count_k); the expected weight
-    of a training sample is exactly 1."""
+def class_weights(labels, num_classes: int) -> np.ndarray:
+    """Inverse-frequency weights w_k = N / (K * count_k) for the K =
+    ``num_classes`` classes; the expected weight of a training sample is
+    exactly 1. A class no label names is a DataError."""
     labels = np.asarray(labels, dtype=np.int64)
-    k = num_classes if num_classes is not None else int(labels.max()) + 1
-    missing, first = absent_classes(labels, k)
+    missing, first = absent_classes(labels, num_classes)
     if missing:
         raise DataError(
             f"{missing} class(es) absent from the training labels, first {first}"
         )
-    counts = np.bincount(labels, minlength=k)
-    return len(labels) / (k * counts.astype(np.float64))
+    counts = np.bincount(labels, minlength=num_classes)
+    return len(labels) / (num_classes * counts.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +303,12 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def attention_to_csv(path, per_sample: np.ndarray, mean: np.ndarray) -> None:
-    """CSV with a sample column, a_000..a_127, and a final MEAN row."""
-    width = per_sample.shape[1] if per_sample.size else len(mean)
-    rows = [[idx] + [repr(float(v)) for v in row] for idx, row in enumerate(per_sample)]
-    rows.append(["MEAN"] + [repr(float(v)) for v in mean])
-    write_csv(path, ["sample"] + [f"a_{i:03d}" for i in range(width)], rows)
+def attention_to_csv(path, per_sample: np.ndarray) -> None:
+    """CSV of [n, 128] attention vectors: a sample column, a_000..a_127, one
+    row per sample and a final MEAN row, their mean over the samples."""
+    rows = [[idx] + row for idx, row in enumerate(per_sample.tolist())]
+    rows.append(["MEAN"] + per_sample.mean(axis=0).tolist())
+    write_csv(path, ["sample"] + [f"a_{i:03d}" for i in range(per_sample.shape[1])], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -114,16 +114,16 @@ def _one_vs_rest_curve(scores: np.ndarray, positive: np.ndarray, class_id: int) 
     return RocCurve(class_id, thresholds, fpr, tpr, float(np.trapezoid(tpr, fpr)))
 
 
-def roc_auc(scores, y_true, num_classes: int | None = None) -> tuple[list[RocCurve], float | None]:
+def roc_auc(scores, y_true) -> tuple[list[RocCurve], float | None]:
     """Per-class one-vs-rest ROC curves with trapezoidal AUCs and their
-    unweighted macro mean (undefined classes are excluded with a warning)."""
+    unweighted macro mean (undefined classes are excluded with a warning).
+    ``scores`` is [n, K]: one column, and one curve, per class."""
     scores = np.asarray(scores, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != len(y_true):
         raise ShapeError(f"scores shape {scores.shape} does not match {len(y_true)} labels")
-    k = num_classes if num_classes is not None else scores.shape[1]
     curves = [
-        _one_vs_rest_curve(scores[:, cls], y_true == cls, cls) for cls in range(k)
+        _one_vs_rest_curve(scores[:, cls], y_true == cls, cls) for cls in range(scores.shape[1])
     ]
     defined = [c.auc for c in curves if c.auc is not None]
     macro = float(np.mean(defined)) if defined else None
@@ -204,16 +204,17 @@ class EvalReport(PrfMetrics):
         }
 
 
-def evaluate_probs(y_true, probs, num_classes: int | None = None, baseline_seed: int = 0) -> EvalReport:
-    """Full report for predicted probabilities: argmax metrics, ROC/AUC, and
-    McNemar against a seeded uniform random baseline."""
+def evaluate_probs(y_true, probs, *, baseline_seed: int = 0) -> EvalReport:
+    """Full report for [n, K] predicted probabilities, K being the class
+    count: argmax metrics, ROC/AUC, and McNemar against a uniform random
+    baseline seeded with ``baseline_seed``."""
     probs = np.asarray(probs, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.int64)
-    k = num_classes if num_classes is not None else probs.shape[1]
+    k = probs.shape[1]
     y_pred = probs.argmax(axis=1)
     cm = confusion(y_true, y_pred, k)
     prf = prf_metrics(cm)
-    curves, macro_auc = roc_auc(probs, y_true, k)
+    curves, macro_auc = roc_auc(probs, y_true)
     baseline = random_baseline(y_true, k, seed=baseline_seed)
     mc = mcnemar(y_pred == y_true, baseline == y_true)
     return EvalReport(

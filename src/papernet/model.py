@@ -41,13 +41,14 @@ DROPOUT = 0.3  # the default rate; TrainConfig.dropout sets it for a run
 @dataclass
 class ModelGraph:
     """Assembled network: variant tag plus named parameter tensors, which
-    are views of ``flat``. The class count and dtype are read from them."""
+    are views of ``flat``. The class count and dtype are read from them.
+    It holds what a weight file holds and nothing more: the dropout rate
+    is an argument of :func:`forward`."""
 
     variant: str
     input_length: int
     params: dict[str, Tensor]
     flat: ParamBuffer
-    dropout_p: float = DROPOUT
 
     @property
     def num_classes(self) -> int:
@@ -85,7 +86,6 @@ class ModelGraph:
             input_length=self.input_length,
             params=params,
             flat=ParamBuffer(params.values(), self.flat.data.copy()),
-            dropout_p=self.dropout_p,
         )
 
 
@@ -191,11 +191,14 @@ def forward(
     batch,
     mode: str = "infer",
     rng=None,
+    dropout: float = DROPOUT,
     return_attention: bool = False,
     trace: list | None = None,
 ):
     """Run the network on a [B, T, 1] batch and return [B, K] logits.
 
+    In train mode the dropout layer zeroes units at rate ``dropout``,
+    drawing from ``rng``; infer mode ignores both.
     ``trace``, when a list, collects (stage, per_sample_shape) pairs.
     With ``return_attention`` the per-sample attention vector is returned
     alongside the logits (errors on the no_attention variant).
@@ -260,7 +263,7 @@ def forward(
 
     x = layers.dense(x, p["dense1.weight"], p["dense1.bias"], relu=True)
     record("dense1", x)
-    x = layers.dropout(x, p=model.dropout_p, mode=mode, rng=rng)
+    x = layers.dropout(x, p=dropout, mode=mode, rng=rng)
     logits = layers.dense(x, p["dense2.weight"], p["dense2.bias"], relu=False)
     record("output", logits)
     if return_attention:

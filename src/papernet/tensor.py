@@ -122,11 +122,9 @@ class ParamBuffer:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, tensors: Sequence[Tensor], data: np.ndarray | None = None):
-        """Rebind each tensor's ``data`` to its view of one array, in order:
-        a new array holding their current values, or ``data`` itself."""
-        if data is None:
-            data = np.concatenate([t.data.reshape(-1) for t in tensors])
+    def __init__(self, tensors: Sequence[Tensor], data: np.ndarray):
+        """Rebind each tensor's ``data`` to its view of ``data``, in order;
+        the tensors' current values are dropped."""
         self.data, self.grad = data, None
         start = 0
         for t in tensors:

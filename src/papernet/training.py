@@ -261,18 +261,15 @@ def predict_probs(model: ModelGraph, rows) -> np.ndarray:
     return infer_batches(model, rows)
 
 
-def export_attention(model: ModelGraph, rows):
-    """Infer-mode attention weights per sample plus the dataset mean.
-
-    ``rows`` is [n, 16] standardized features; returns ([n, 128], [128]).
-    """
+def export_attention(model: ModelGraph, rows) -> np.ndarray:
+    """Infer-mode attention weights per sample: [n, 128] for [n, 16]
+    standardized feature ``rows``."""
     if model.variant == "no_attention":
         raise DataError("the no_attention variant has no attention weights to export")
     rows = np.asarray(rows, dtype=model.dtype)
     if rows.ndim != 2:
         raise DataError(f"expected [n, {NUM_CHANNELS}] rows, got shape {rows.shape}")
-    per_sample = infer_batches(model, rows, return_attention=True)
-    return per_sample, per_sample.mean(axis=0)
+    return infer_batches(model, rows, return_attention=True)
 
 
 def train(
@@ -286,8 +283,10 @@ def train(
     """Run the full protocol and return (best model, final model, history).
 
     ``features`` are standardized [N, 16] rows; batches are reshaped to
-    [B, 16, 1]. With ``outdir`` set, weights_best / weights_final / the
-    history CSV are written there.
+    [B, 16, 1]. ``model`` is trained in place: its parameters and running
+    statistics change, nothing else; ``config.dropout`` goes to each
+    train-mode :func:`~papernet.model.forward`. With ``outdir`` set,
+    weights_best / weights_final / the history CSV are written there.
     """
     config.validate()
     features = np.asarray(features, dtype=model.dtype)
@@ -300,7 +299,6 @@ def train(
     eye = np.eye(k, dtype=model.dtype)
     weights = class_weights(y_train, k) if config.class_weighting else None
 
-    model.dropout_p = config.dropout
     trainable = model.trainable()
     adam = AdamState.for_params(trainable)
     plateau = Plateau(config)
@@ -322,7 +320,8 @@ def train(
                 drop_rng = np.random.default_rng([config.seed, epoch, batch_no])
                 try:
                     with ComputationTape() as tape:
-                        logits = forward(model, x_train[idx], mode="train", rng=drop_rng)
+                        logits = forward(model, x_train[idx], mode="train", rng=drop_rng,
+                                         dropout=config.dropout)
                         loss = weighted_cross_entropy(
                             logits, eye[y_train[idx]], weights, model, config.l2
                         )

@@ -113,7 +113,7 @@ class TestCriterion3MetricOracles:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                curves, _ = roc_auc(scores, y_true, k)
+                curves, _ = roc_auc(scores, y_true)
             for cls in range(k):
                 positive = y_true == cls
                 if positive.all() or not positive.any():
@@ -249,9 +249,7 @@ class TestCriterion8DatasetReproduction:
                 )
                 best, _, _ = train(model, features, raw.labels, splits, config)
                 probs = predict_probs(best, features[splits.test])
-                report = evaluate_probs(
-                    raw.labels[splits.test], probs, raw.num_classes
-                )
+                report = evaluate_probs(raw.labels[splits.test], probs)
                 per_variant[variant] = report
             results[seed] = per_variant
         elapsed = time.perf_counter() - t0

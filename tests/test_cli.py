@@ -1,7 +1,11 @@
 import argparse
+import ast
+import dataclasses
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -517,19 +521,15 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_main_parses_like_the_whole_parser(self, name, capsys):
-        # main adds the RunConfig flags to the chosen subcommand only: its
-        # --help text, and a usage error's message and exit code, are those
-        # of the parser with every flag of every subcommand
-        for argv, code in (([name, "--help"], 0), ([name, "--no-such-flag"], 2)):
-            outcomes = []
-            for parse in (build_parser().parse_args, main):
-                with pytest.raises(SystemExit) as exc:
-                    parse(argv)
-                outcomes.append((exc.value.code, *capsys.readouterr()))
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[1][0] == code
-            if code == 0:
-                assert ("--lr0" in outcomes[1][1]) == SUBCOMMANDS[name][2]
+        # --help exits 0 and lists the RunConfig flags exactly for the
+        # subcommands that take them; an unknown flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert ("--lr0" in capsys.readouterr().out) == SUBCOMMANDS[name][2]
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--no-such-flag"])
+        assert exc.value.code == 2
 
     def test_no_class_weighting_flag(self):
         for sub in self._subcommands().values():
@@ -554,6 +554,25 @@ class TestCliSurface:
         }
 
 
+def test_readme_defaults_match_the_code():
+    """README's config defaults are ``RunConfig()``'s, in key order, and
+    each ``NAME = value`` of its fixed protocol settings is the constant's
+    value."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Config keys and defaults", 1)[1].split("```json\n", 1)[1]
+    documented = json.loads(block.split("```", 1)[0])
+    assert list(documented.items()) == list(dataclasses.asdict(RunConfig()).items())
+    settings_list = readme.split("Fixed protocol settings", 1)[1].split("\n\n")[1]
+    checked = []
+    for path, value in re.findall(r"`([\w.]+) = ([^`]+)`", settings_list):
+        if path.startswith("papernet."):
+            module = importlib.import_module(path.rsplit(".", 1)[0])
+        name = path.rsplit(".", 1)[-1]
+        assert getattr(module, name) == ast.literal_eval(value), path
+        checked.append(name)
+    assert len(checked) == 8, checked
+
+
 # Each demo and a stable prefix of its last line.
 DEMOS = {
     "01_autodiff_basics": "gradcheck softmax",
@@ -563,6 +582,8 @@ DEMOS = {
     "05_metrics_tour": "six samples cannot reach significance",
     "06_cli_walkthrough": "all outputs under",
 }
+# demo 03's line of the two probability rows' sums
+PROB_SUMS = "predict_probs rows sum to"
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -574,4 +595,9 @@ def test_demo_runs(demo, tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert DEMOS[demo] in result.stdout.splitlines()[-1]
+    lines = result.stdout.splitlines()
+    assert DEMOS[demo] in lines[-1]
+    if demo == "03_model_anatomy":
+        sums = next(line for line in lines if line.startswith(PROB_SUMS))
+        values = [float(v) for v in sums[len(PROB_SUMS):].split()]
+        assert len(values) == 2 and max(abs(v - 1) for v in values) <= 1e-6, sums

@@ -315,17 +315,17 @@ class TestStratifiedSplit:
 class TestClassWeights:
     def test_balanced_gives_ones(self):
         np.testing.assert_array_equal(
-            class_weights(np.repeat(np.arange(4), 25)), np.ones(4)
+            class_weights(np.repeat(np.arange(4), 25), 4), np.ones(4)
         )
 
     def test_worked_example(self):
         labels = np.repeat([0, 1, 2, 3], [100, 50, 25, 25])
-        np.testing.assert_allclose(class_weights(labels), [0.5, 1.0, 2.0, 2.0])
+        np.testing.assert_allclose(class_weights(labels, 4), [0.5, 1.0, 2.0, 2.0])
 
     def test_scale_invariance(self):
         labels = np.repeat([0, 1, 2], [30, 20, 10])
         doubled = np.repeat([0, 1, 2], [60, 40, 20])
-        np.testing.assert_allclose(class_weights(labels), class_weights(doubled))
+        np.testing.assert_allclose(class_weights(labels, 3), class_weights(doubled, 3))
 
     def test_expected_sample_weight_is_one(self):
         rng = np.random.default_rng(6)
@@ -342,7 +342,7 @@ class TestClassWeights:
 
     def test_absent_class_list_capped(self):
         with pytest.raises(DataError, match=r"^4998 class\(es\) absent .*first \[2, 3, 4, 5, 6\]$"):
-            class_weights(np.array([0, 1, 5000]))
+            class_weights(np.array([0, 1, 5000]), 5001)
 
 
 class TestAbsentClasses:
@@ -591,11 +591,11 @@ class TestAtomicSave:
         path = tmp_path / "report.json"
         labels = np.array([0, 1, 1, 0])
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.7, 0.3]])
-        report_to_json(evaluate_probs(labels, probs, 2), path)
+        report_to_json(evaluate_probs(labels, probs), path)
         before = path.read_bytes()
         self._fail_on(failing, monkeypatch)
         with pytest.raises(OSError):
-            report_to_json(evaluate_probs(labels, probs[:, ::-1], 2), path)
+            report_to_json(evaluate_probs(labels, probs[:, ::-1]), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -723,19 +723,30 @@ class TestSingleUse:
             guard.take()
 
 
+def read_attention_csv(path):
+    """(header, [n, 128] per-sample rows, MEAN row) of an attention.csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert [r[0] for r in rows] == [str(i) for i in range(len(rows) - 1)] + ["MEAN"]
+    values = np.array([r[1:] for r in rows], dtype=np.float64).reshape(len(rows), -1)
+    return header, values[:-1], values[-1]
+
+
 class TestAttentionExport:
-    def test_shapes_and_range(self):
+    def test_shapes_and_range(self, tmp_path):
         model = build_papernet(seed=20)
         rows = np.random.default_rng(21).normal(size=(10, 16))
-        per_sample, mean = export_attention(model, rows)
+        per_sample = export_attention(model, rows)
         assert per_sample.shape == (10, 128)
+        attention_to_csv(tmp_path / "attention.csv", per_sample)
+        _, _, mean = read_attention_csv(tmp_path / "attention.csv")
         assert mean.shape == (128,)
         assert np.all(mean > 0) and np.all(mean < 1)
 
     def test_duplicates_identical(self):
         model = build_papernet(seed=22)
         row = np.random.default_rng(23).normal(size=(1, 16))
-        per_sample, _ = export_attention(model, np.repeat(row, 4, axis=0))
+        per_sample = export_attention(model, np.repeat(row, 4, axis=0))
         for i in range(1, 4):
             np.testing.assert_array_equal(per_sample[0], per_sample[i])
 
@@ -747,12 +758,11 @@ class TestAttentionExport:
     def test_csv_layout(self, tmp_path):
         model = build_papernet(seed=24)
         rows = np.random.default_rng(25).normal(size=(3, 16))
-        per_sample, mean = export_attention(model, rows)
+        per_sample = export_attention(model, rows)
         path = tmp_path / "attention.csv"
-        attention_to_csv(path, per_sample, mean)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 3 + 1
-        header = lines[0].split(",")
-        assert header[0] == "sample"
-        assert header[1] == "a_000" and header[-1] == "a_127"
-        assert lines[-1].startswith("MEAN,")
+        attention_to_csv(path, per_sample)
+        header, written, mean = read_attention_csv(path)
+        assert header == ["sample"] + [f"a_{i:03d}" for i in range(128)]
+        # float32 values written as Python floats read back exactly
+        np.testing.assert_array_equal(written, per_sample)
+        np.testing.assert_array_equal(mean, per_sample.mean(axis=0))

@@ -135,7 +135,7 @@ class TestRocAuc:
         y = np.array([0, 0, 1, 1])
         scores = np.full((4, 3), 1 / 3)
         with pytest.warns(UserWarning, match="class 2"):
-            curves, macro = roc_auc(scores, y, 3)
+            curves, macro = roc_auc(scores, y)
         assert curves[2].auc is None
         assert macro == pytest.approx(0.5)
 
@@ -166,7 +166,7 @@ class TestRocAuc:
             scores = raw / raw.sum(axis=1, keepdims=True)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # some classes may be absent
-                curves, _ = roc_auc(scores, y, k)
+                curves, _ = roc_auc(scores, y)
             for cls in range(k):
                 positive = y == cls
                 if positive.all() or not positive.any():
@@ -271,7 +271,7 @@ class TestEvaluateProbs:
 
     def test_report_fields(self):
         y, probs = self._case()
-        report = evaluate_probs(y, probs, 4)
+        report = evaluate_probs(y, probs)
         d = report.to_dict()
         for key in (
             "confusion_matrix", "accuracy", "per_class", "macro_precision",
@@ -283,12 +283,20 @@ class TestEvaluateProbs:
 
     def test_sample_order_invariance(self):
         y, probs = self._case(seed=14)
-        report_a = evaluate_probs(y, probs, 4)
+        report_a = evaluate_probs(y, probs)
         perm = np.random.default_rng(15).permutation(len(y))
-        report_b = evaluate_probs(y[perm], probs[perm], 4)
+        report_b = evaluate_probs(y[perm], probs[perm])
         np.testing.assert_array_equal(report_a.confusion, report_b.confusion)
         assert report_a.macro_f1 == report_b.macro_f1
         assert report_a.macro_auc == pytest.approx(report_b.macro_auc, abs=1e-12)
+
+    def test_class_count_is_not_an_argument(self):
+        # K is the width of probs; a positional third argument would
+        # otherwise reseed the McNemar baseline
+        y, probs = self._case()
+        assert len(evaluate_probs(y, probs).confusion) == 4
+        with pytest.raises(TypeError):
+            evaluate_probs(y, probs, 4)
 
 
 def _roc_csv_per_value(report, path):
@@ -314,7 +322,7 @@ def test_roc_csv_bytes_match_per_value_formatting(tmp_path, seed):
     probs = rng.integers(0, 6, size=(n, k)) / 5 + rng.random((n, k)) * (seed % 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a class absent from y has no AUC
-        report = evaluate_probs(y, probs, k)
+        report = evaluate_probs(y, probs)
     roc_to_csv(report, tmp_path / "roc.csv")
     _roc_csv_per_value(report, tmp_path / "reference.csv")
     assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -6,7 +6,7 @@ import pytest
 import papernet.training as training_mod
 from papernet.data import load_weights, save_weights, stratified_split
 from papernet.errors import ConfigError, TrainingError
-from papernet.model import build_papernet, forward
+from papernet.model import ModelGraph, build_papernet, forward
 from papernet.tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward
 from papernet.training import (
     LOG_FLOOR,
@@ -256,7 +256,7 @@ def test_a_parameter_rebound_off_its_buffer_is_named(tmp_path, slot, reader):
 def packed_param(values, grad):
     """A one-tensor parameter dict in its own buffer, holding ``grad``."""
     p = {"w": Tensor(np.asarray(values), requires_grad=True)}
-    ParamBuffer(p.values())
+    ParamBuffer(p.values(), p["w"].data.copy())
     p["w"].accumulate_grad(np.asarray(grad))
     return p
 
@@ -450,6 +450,30 @@ class TestTrainLoop:
         lrs = [r.lr for r in history.records]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
         assert all(r.epoch == i + 1 for i, r in enumerate(history.records))
+
+    def test_trained_models_round_trip_through_their_weight_files(self, tmp_path):
+        """``train`` changes nothing on a model that its weight file does not
+        hold: loading weights_best and weights_final gives back the best and
+        the trained model, field for field, at a non-default dropout."""
+        features, labels, splits = self._setup()
+        finals = []
+        for dropout in (0.3, 0.5):
+            model = build_papernet(seed=4)
+            best, _, _ = train(model, features, labels, splits, self._config(dropout=dropout),
+                               outdir=tmp_path / str(dropout))
+            finals.append(model.flat.data.tobytes())
+        for trained, name in ((best, "weights_best"), (model, "weights_final")):
+            loaded = load_weights(tmp_path / "0.5" / name)
+            for field in dataclasses.fields(ModelGraph):
+                a, b = getattr(trained, field.name), getattr(loaded, field.name)
+                if field.name == "params":
+                    a, b = ({k: (t.data.tobytes(), t.requires_grad) for k, t in m.items()}
+                            for m in (a, b))
+                elif field.name == "flat":
+                    a, b = a.data.tobytes(), b.data.tobytes()
+                assert a == b, field.name
+        # the rate reached the train-mode forward
+        assert finals[0] != finals[1]
 
     def test_non_finite_loss_aborts_with_context(self):
         features, labels, splits = self._setup()
