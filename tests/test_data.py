@@ -728,7 +728,7 @@ def read_attention_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert [r[0] for r in rows] == [str(i) for i in range(len(rows) - 1)] + ["MEAN"]
-    values = np.array([r[1:] for r in rows], dtype=np.float64).reshape(len(rows), -1)
+    values = np.array([r[1:] for r in rows], dtype=np.float64)
     return header, values[:-1], values[-1]
 
 
