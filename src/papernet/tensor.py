@@ -23,6 +23,7 @@ updates them all at once. A parameter that has received no gradient keeps
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -159,9 +160,10 @@ class _TapeNode:
 class ComputationTape:
     """Ordered record of executed operations for one backward sweep.
 
-    A tape is active inside its ``with`` block; operations executed there
-    append themselves in topological (execution) order. One call to
-    :func:`backward` consumes the tape; a second call raises.
+    A tape is active inside its ``with`` block, for the thread that entered
+    it; operations that thread executes there append themselves in
+    topological (execution) order. One call to :func:`backward` consumes
+    the tape; a second call raises.
     """
 
     def __init__(self):
@@ -169,13 +171,14 @@ class ComputationTape:
         self.consumed = False
 
     def __enter__(self) -> "ComputationTape":
-        _TAPE_STACK.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+        stack = _TAPES.stack
+        if not stack or stack[-1] is not self:
             raise TapeError("tape context exited out of order")
-        _TAPE_STACK.pop()
+        stack.pop()
 
     def record(
         self,
@@ -189,11 +192,20 @@ class ComputationTape:
         self.nodes.append(_TapeNode(name, tuple(inputs), output, rule))
 
 
-_TAPE_STACK: list[ComputationTape] = []
+class _ThreadTapes(threading.local):
+    """The calling thread's active tapes, innermost last: a forward run in
+    another thread records nothing onto them."""
+
+    def __init__(self):
+        self.stack: list[ComputationTape] = []
+
+
+_TAPES = _ThreadTapes()
 
 
 def _active_tape() -> ComputationTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
 
 
 def backward(tape: ComputationTape, loss: Tensor) -> None:
@@ -222,7 +234,7 @@ def backward(tape: ComputationTape, loss: Tensor) -> None:
 def _recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op over ``inputs`` will be recorded: a tape is active and
     some input requires grad. Only then is backward-only state needed."""
-    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+    return bool(_TAPES.stack) and any(t.requires_grad for t in inputs)
 
 
 def _make_output(data: np.ndarray, inputs: Sequence[Tensor], name: str, rule) -> Tensor:

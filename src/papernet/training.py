@@ -7,14 +7,19 @@ model's whole parameter buffer with a fixed run of numpy calls, over flat
 moments and scratch space kept between steps. One stall counter
 (:class:`Plateau`) on validation macro-F1 drives both reduce-on-plateau and
 early stopping. Inference: :func:`infer_batches` runs the infer-mode
-forward ``INFER_BATCH`` rows at a time, and the same softmax as the loss,
-for :func:`predict_probs` and :func:`export_attention`.
+forward and the same softmax as the loss, for :func:`predict_probs` and
+:func:`export_attention`. A call of up to ``INFER_BATCH`` rows is one
+forward in the caller's thread; a longer one runs half-size forwards on the
+caller's thread and one worker thread, with the same output bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -237,23 +242,111 @@ class TrainHistory:
         return max(r.val_macro_f1 for r in self.records)
 
 
+class _InferWorker:
+    """The one thread that runs the worker's share of long infer calls, in
+    the order they are handed to it. It starts at the first long call and
+    lives as long as the process, so its heap arena is reused from call to
+    call. A forked child inherits neither the thread nor usable locks, and
+    starts afresh."""
+
+    def __init__(self):
+        self._jobs: deque = deque()
+        self._pending = threading.Semaphore(0)
+        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+
+    def submit(self, job) -> threading.Event:
+        """Queue ``job``; the event is set once it has returned."""
+        done = threading.Event()
+        with self._lock:
+            if self._thread is None or not self._thread.is_alive():
+                self._thread = threading.Thread(target=self._serve, name="papernet-infer",
+                                                daemon=True)
+                self._thread.start()
+        self._jobs.append((job, done))
+        self._pending.release()
+        return done
+
+    def _serve(self) -> None:
+        while True:
+            self._pending.acquire()
+            job, done = self._jobs.popleft()
+            try:
+                job()
+            finally:
+                done.set()
+                job = done = None  # hold nothing of a finished call while idle
+
+
+_WORKER = _InferWorker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_WORKER.__init__)
+
+
+def _infer_into(out: np.ndarray, model: ModelGraph, rows: np.ndarray,
+                return_attention: bool) -> None:
+    result = forward(model, rows, mode="infer", return_attention=return_attention)
+    out[...] = result[1].data if return_attention else _softmax(result.data)
+
+
 def infer_batches(model: ModelGraph, rows, return_attention: bool = False) -> np.ndarray:
-    """Infer-mode forward over [n, T] or [n, T, 1] rows, ``INFER_BATCH`` at a
-    time: the [n, K] class probabilities, or with ``return_attention`` the
-    [n, 128] attention vectors."""
+    """Infer-mode forward over [n, T] or [n, T, 1] rows: the [n, K] class
+    probabilities, or with ``return_attention`` the [n, 128] attention
+    vectors.
+
+    Up to ``INFER_BATCH`` rows run as one forward in the calling thread.
+    A longer call runs forwards of ``INFER_BATCH // 2`` rows, the
+    even-numbered ones in the calling thread and the odd-numbered ones in
+    one worker thread, each writing its own rows of the one result. So at
+    most ``INFER_BATCH`` rows are in flight, and since no infer-mode op
+    mixes rows, the bits are those of ``INFER_BATCH``-row forwards run in
+    order. The call returns or raises only once the worker is done, and
+    raises what those forwards would: the error of the first window of
+    ``INFER_BATCH`` rows that fails.
+    """
     rows = np.asarray(rows, dtype=model.dtype)
     if rows.ndim == 2:
         rows = rows[:, :, None]
     width = CONV_WIDTHS[-1] if return_attention else model.num_classes
     out = np.empty((len(rows), width), dtype=model.dtype)
-    with _quiet_fp():
-        for start in range(0, len(rows), INFER_BATCH):
-            result = forward(model, rows[start : start + INFER_BATCH], mode="infer",
-                             return_attention=return_attention)
-            out[start : start + INFER_BATCH] = (
-                result[1].data if return_attention else _softmax(result.data)
-            )
-    return out
+    if len(rows) <= INFER_BATCH:
+        if len(rows):
+            with _quiet_fp():
+                _infer_into(out, model, rows, return_attention)
+        return out
+
+    half = INFER_BATCH // 2
+    count = -(-len(rows) // half)
+    failed_at = [count, count]  # per thread: the number of the forward that raised
+    errors: list[BaseException | None] = [None, None]
+
+    def run(side: int) -> None:
+        with _quiet_fp():  # numpy's error state is per thread
+            for i in range(side, count, 2):
+                if i > min(failed_at):  # a stale read costs one forward, no more
+                    return  # the serial loop stops at the earlier failure
+                part = slice(i * half, (i + 1) * half)
+                try:
+                    _infer_into(out[part], model, rows[part], return_attention)
+                except BaseException as exc:
+                    failed_at[side], errors[side] = i, exc
+                    return
+
+    worker_done = _WORKER.submit(lambda: run(1))
+    try:
+        run(0)
+    finally:
+        worker_done.wait()
+    first = min(failed_at)
+    if first == count:
+        return out
+    if isinstance(errors[first % 2], NonFiniteError):
+        # a whole window's forward names the first layer any of its rows
+        # overflowed in, which may be in the half that did not fail first
+        window = slice(first // 2 * INFER_BATCH, (first // 2 + 1) * INFER_BATCH)
+        with _quiet_fp():
+            _infer_into(out[window], model, rows[window], return_attention)
+    raise errors[first % 2]
 
 
 def predict_probs(model: ModelGraph, rows) -> np.ndarray:

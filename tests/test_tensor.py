@@ -1,3 +1,4 @@
+import threading
 import warnings
 import zlib
 
@@ -6,6 +7,7 @@ import pytest
 
 from papernet.errors import NonFiniteError, ShapeError, TapeError
 from papernet.layers import dense, global_avg_pool_time, global_max_pool_time
+from papernet.model import build_papernet, forward
 from papernet.tensor import ComputationTape, Tensor, _make_output, backward, gradcheck
 from papernet.training import weighted_cross_entropy
 
@@ -245,6 +247,28 @@ class TestTapeScoping:
             assert len(outer.nodes) == 0
         backward(inner, loss)
         np.testing.assert_array_equal(x.grad, [[4.0]])
+
+    def test_other_threads_record_onto_their_own_tapes(self):
+        model = build_papernet(seed=0)
+        batch = np.random.default_rng(0).standard_normal((4, 16, 1))
+        theirs = []
+
+        def other_thread():
+            forward(model, batch)
+            with ComputationTape() as tape:
+                forward(model, batch)
+            theirs.append(tape)
+
+        with ComputationTape() as mine:
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert mine.nodes == []
+        assert len(theirs) == 1 and theirs[0].nodes
+        with ComputationTape() as mine:
+            forward(model, batch)
+        assert len(mine.nodes) == len(theirs[0].nodes)
 
 
 class TestGradOwnership:

@@ -1,11 +1,18 @@
 import dataclasses
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import papernet.training as training_mod
 from papernet.data import load_weights, save_weights, stratified_split
-from papernet.errors import ConfigError, TrainingError
+from papernet.errors import ConfigError, NonFiniteError, TrainingError
 from papernet.model import ModelGraph, build_papernet, forward
 from papernet.tensor import ComputationTape, ParamBuffer, Tensor, _make_output, backward
 from papernet.training import (
@@ -485,6 +492,12 @@ class TestTrainLoop:
         config = self._config(lr0=1e18, max_epochs=2, batch_size=512)
         with pytest.raises(TrainingError, match="epoch 1 validation"):
             train(build_papernet(seed=10), features, labels, splits, config)
+        # 268 validation rows: the error comes from both inference threads
+        features, labels, splits = self._setup(n=1800)
+        assert len(splits.val) > training_mod.INFER_BATCH
+        config = self._config(lr0=1e18, max_epochs=2, batch_size=len(splits.train))
+        with pytest.raises(TrainingError, match="^epoch 1 validation: non-finite values"):
+            train(build_papernet(seed=10), features, labels, splits, config)
 
     def test_learns_separable_data(self):
         features, labels, splits = self._setup(n=400, seed=11)
@@ -519,22 +532,170 @@ class TestSoftmaxIntoLoss:
         assert new_loss.item() < loss.item()
 
 
+class TestInferErrors:
+    """A call of more than INFER_BATCH rows fails as one of at most
+    INFER_BATCH rows does, whichever thread ran the failing rows."""
+
+    def test_overflow_raises_non_finite_error_and_no_warning(self):
+        model = build_papernet(seed=5)
+        model.params["conv1.bias"].data[...] = 3e38
+        rows = np.zeros((600, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns outside the infer loop
+            with pytest.raises(RuntimeWarning, match="overflow encountered in matmul"):
+                forward(model, rows[:1, :, None])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError,
+                               match="^non-finite values produced by conv1d_same$"):
+                predict_probs(model, rows)
+        assert caught == []
+
+    def test_nan_weight_same_message_at_any_length(self):
+        model = build_papernet(seed=5)
+        model.params["dense2.weight"].data[0, 0] = np.nan
+        rows = np.zeros((600, 16))
+        messages = []
+        for n in (1, 600):
+            with pytest.raises(NonFiniteError) as info:
+                predict_probs(model, rows[:n])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "non-finite values produced by dense"
+
+    @pytest.mark.parametrize("bad, layer", [
+        # one window: the worker's rows fail at an earlier layer
+        ({5: 3e38, 200: np.inf}, "conv1d_same"),
+        # the worker's failure lies in the earlier window
+        ({200: np.inf, 300: 3e38}, "conv1d_same"),
+        # the caller's failure lies in the earlier window
+        ({5: 3e38, 400: np.inf}, "se_residual_attention"),
+    ])
+    def test_error_is_the_serial_loops(self, bad, layer):
+        model = build_papernet(seed=5)
+        rows = np.zeros((600, 16))
+        for row, value in bad.items():
+            rows[row] = value  # 3e38 fails at a later layer than inf does
+        step = training_mod.INFER_BATCH
+        with training_mod._quiet_fp():
+            with pytest.raises(NonFiniteError) as serial:
+                for start in range(0, len(rows), step):
+                    forward(model, rows[start : start + step, :, None])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError) as got:
+                predict_probs(model, rows)
+        assert str(got.value) == str(serial.value) == f"non-finite values produced by {layer}"
+        assert caught == []  # neither thread let numpy warn
+
+
 class TestInferBatches:
     @pytest.mark.parametrize("attention", [False, True])
     def test_batches_fill_one_array(self, attention):
+        """Bit for bit the serial INFER_BATCH-row forwards, on either side
+        of the inline path's limit."""
+        step = training_mod.INFER_BATCH
+        all_rows = np.random.default_rng(6).standard_normal((2048, 16))
+        for dtype in (np.float32, np.float64):
+            model = build_papernet(seed=5, dtype=dtype)
+            for n in (1, 255, 256, 257, 600, 2048):
+                rows = all_rows[:n]
+                got = training_mod.infer_batches(model, rows, return_attention=attention)
+                parts = [
+                    forward(model, rows[start : start + step, :, None],
+                            return_attention=attention)
+                    for start in range(0, n, step)
+                ]
+                expected = np.concatenate(
+                    [p[1].data if attention else training_mod._softmax(p.data) for p in parts]
+                )
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(got, expected, err_msg=f"{dtype.__name__}, n={n}")
+
+    def test_concurrent_callers_get_the_serial_bits(self):
         model = build_papernet(seed=5)
-        rows = np.random.default_rng(6).standard_normal((training_mod.INFER_BATCH + 3, 16))
-        got = training_mod.infer_batches(model, rows, return_attention=attention)
-        parts = [
-            forward(model, rows[start : start + training_mod.INFER_BATCH, :, None],
-                    return_attention=attention)
-            for start in (0, training_mod.INFER_BATCH)
-        ]
-        expected = np.concatenate(
-            [p[1].data if attention else training_mod._softmax(p.data) for p in parts]
-        )
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got, expected)
+        rows = np.random.default_rng(6).standard_normal((4, 600, 16))
+        expected = [training_mod.infer_batches(model, r) for r in rows]
+        got = {}
+
+        def call(k):
+            got[k] = training_mod.infer_batches(model, rows[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for k in range(4):
+            np.testing.assert_array_equal(got[k], expected[k])
+
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]),
+        (256, [256]),
+        (257, [128, 128, 1]),
+        (600, [128, 128, 128, 128, 88]),
+    ])
+    def test_long_calls_run_half_batches_on_two_threads(self, monkeypatch, n, sizes):
+        seen = []
+
+        def spy(model, batch, *args, **kwargs):
+            seen.append((len(batch), threading.current_thread(), threading.active_count()))
+            return forward(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "forward", spy)
+        before = threading.active_count()
+        training_mod.infer_batches(build_papernet(seed=5), np.zeros((n, 16)))
+        assert sorted(size for size, _, _ in seen) == sorted(sizes)
+        threads = {thread for _, thread, _ in seen}
+        if len(sizes) == 1:  # inline: no thread is started
+            assert threads == {threading.current_thread()}
+            assert [count for _, _, count in seen] == [before]
+            assert threading.active_count() == before
+        else:
+            (worker,) = threads - {threading.current_thread()}
+            assert worker.name == "papernet-infer" and worker.daemon
+
+    def test_one_worker_serves_every_long_call(self):
+        model = build_papernet(seed=5)
+        rows = np.zeros((600, 16), dtype=np.float32)
+        training_mod.infer_batches(model, rows)
+        workers = [t for t in threading.enumerate() if t.name == "papernet-infer"]
+        count = threading.active_count()
+        for _ in range(3):
+            training_mod.infer_batches(model, rows)
+        assert len(workers) == 1
+        assert [t for t in threading.enumerate() if t.name == "papernet-infer"] == workers
+        assert threading.active_count() == count
+        # and it keeps nothing of a finished call
+        ref = weakref.ref(rows)
+        del rows
+        assert ref() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self):
+        model = build_papernet(seed=5)
+        rows = np.random.default_rng(6).standard_normal((600, 16))
+        expected = training_mod.infer_batches(model, rows)  # the parent's worker runs
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit code, never return
+            code = 2
+            try:
+                code = int(not np.array_equal(training_mod.infer_batches(model, rows), expected))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's long infer call did not return")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
     @pytest.mark.parametrize("attention, width", [(False, 4), (True, 128)])
     def test_no_rows_give_empty_array(self, attention, width):
