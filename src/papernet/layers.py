@@ -318,44 +318,79 @@ def _lstm_forward(x2d, weight, bias, out, reverse, keep):
     return (acts, cells) if keep else None
 
 
+def _previous_states(seq, reverse, out):
+    """Write into ``out`` each step's previous state in one direction's time
+    order: ``seq`` [B, T, H] shifted by one step, zero before the first."""
+    if reverse:
+        out[:, :-1], out[:, -1] = seq[:, 1:], 0.0
+    else:
+        out[:, 1:], out[:, 0] = seq[:, :-1], 0.0
+    return out
+
+
 def _lstm_backward(g_h, x2d, weight, h_seq, acts, cells, reverse):
     """Backpropagation through time for one direction. ``g_h`` is the
     gradient of its hidden states ``h_seq`` [B, T, H]; returns the
-    gradients of the [B*T, D] input rows, the weight and the bias."""
+    gradients of the [B, T, D] input, the weight and the bias.
+
+    The forward's gate activations ``acts`` [B, T, 4H] are overwritten,
+    first with each gate's coefficient and then, step by step, with
+    d(loss)/dz, so the backward allocates no gate-sized array. That is safe
+    because a tape runs each rule at most once: ``backward`` drops the rule
+    after calling it, and a second ``backward`` on the tape raises
+    ``TapeError``."""
     batch, steps, hidden = h_seq.shape
     width = x2d.shape[1]
-    # each step's previous state (zero before this direction's first step)
-    h_prev, c_prev = np.zeros_like(h_seq), np.zeros_like(cells)
-    if reverse:
-        h_prev[:, :-1], c_prev[:, :-1] = h_seq[:, 1:], cells[:, 1:]
-    else:
-        h_prev[:, 1:], c_prev[:, 1:] = h_seq[:, :-1], cells[:, :-1]
     i, f, g, o = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
-    tanh_c = np.tanh(cells)
     # d(loss)/dz = [dc, dc, dc, dh] * coef, where coef is each gate's partner
-    # in the cell/hidden update times the gate's own derivative
-    deriv = acts * (1.0 - acts)
-    deriv[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
-    coef = np.concatenate((g, c_prev, i, tanh_c), axis=2) * deriv
-    dh_dc = o * (1.0 - tanh_c * tanh_c)
+    # in the cell/hidden update times the gate's own derivative:
+    # [g i(1-i), c_prev f(1-f), i (1-g^2), tanh(c) o(1-o)], built in place
+    f_gate = f.copy()  # the time loop still reads the forget gate
+    scratch = _previous_states(cells, reverse, np.empty_like(cells))  # c_prev
+    np.subtract(1.0, f, out=f)
+    f *= f_gate
+    f *= scratch
+    dh_dc = np.tanh(cells)  # tanh(c) until the o coefficient is built
+    np.subtract(1.0, o, out=scratch)
+    scratch *= o
+    scratch *= dh_dc
+    # then dh/dc = o (1 - tanh(c)^2) in place
+    dh_dc *= dh_dc
+    np.subtract(1.0, dh_dc, out=dh_dc)
+    dh_dc *= o
+    o[...] = scratch
+    np.subtract(1.0, i, out=scratch)
+    scratch *= i
+    scratch *= g
+    g *= g
+    np.subtract(1.0, g, out=g)
+    g *= i
+    i[...] = scratch
     w_rec = weight[:, width:]  # [4H, H]
-    d_z = np.empty_like(acts)
+    # each step's row of acts becomes d(loss)/dz: dc times the i, f and g
+    # coefficients, dh times the o coefficient
+    gates = acts.reshape(batch, steps, 4, hidden)
     dh = np.zeros((batch, hidden), dtype=acts.dtype)
     dc = np.zeros((batch, hidden), dtype=acts.dtype)
     order = range(steps) if reverse else range(steps - 1, -1, -1)
     for t in order:
         dh = g_h[:, t] + dh
         dc = dc + dh * dh_dc[:, t]
-        dz = np.concatenate((dc, dc, dc, dh), axis=1) * coef[:, t]
-        d_z[:, t] = dz
+        np.multiply(dc[:, None], gates[:, t, :3], out=gates[:, t, :3])
+        np.multiply(dh, gates[:, t, 3], out=gates[:, t, 3])
         if t != order[-1]:  # nothing reads the gradient of the zero initial state
-            dh = dz @ w_rec
-            dc = dc * f[:, t]
-    d_z = d_z.reshape(batch * steps, 4 * hidden)
-    d_weight = np.concatenate(
-        (d_z.T @ x2d, d_z.T @ h_prev.reshape(batch * steps, hidden)), axis=1
-    )
-    return d_z @ weight[:, :width], d_weight, _colsum(d_z)
+            dh = acts[:, t] @ w_rec
+            dc = dc * f_gate[:, t]
+    del f_gate, dh_dc  # freed before the closing GEMMs allocate their results
+    h_prev = _previous_states(h_seq, reverse, scratch)
+    d_z = acts.reshape(batch * steps, 4 * hidden)
+    d_weight = np.empty_like(weight)
+    np.matmul(d_z.T, x2d, out=d_weight[:, :width])
+    np.matmul(d_z.T, h_prev.reshape(batch * steps, hidden), out=d_weight[:, width:])
+    del scratch, h_prev  # and h_prev before d_x
+    d_x = np.empty((batch, steps, width), dtype=acts.dtype)
+    np.matmul(d_z, weight[:, :width], out=d_x.reshape(batch * steps, width))
+    return d_x, d_weight, _colsum(d_z)
 
 
 def bilstm(
@@ -396,12 +431,13 @@ def bilstm(
     ]
 
     def rule(g):
-        (dx_f, dw_f, db_f), (dx_b, dw_b, db_b) = (
+        (d_x, dw_f, db_f), (dx_b, dw_b, db_b) = (
             _lstm_backward(g[..., k * hidden : (k + 1) * hidden], x2d, weights[k],
                            halves[k], *saved[k], reverse=bool(k))
             for k in range(2)
         )
-        return dx_f.reshape(x.shape) + dx_b.reshape(x.shape), dw_f, db_f, dw_b, db_b
+        d_x += dx_b
+        return d_x, dw_f, db_f, dw_b, db_b
 
     return _make_output(out, inputs, "bilstm", rule)
 

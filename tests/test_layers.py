@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -660,6 +661,114 @@ class TestBiLstm:
         w = t(np.zeros((12, 7)))  # H = 3 for D = 4
         with pytest.raises(ShapeError, match="bias"):
             layers.bilstm(t(np.zeros((2, 5, 4))), w, t(np.zeros(8)), w, t(np.zeros(12)))
+
+
+def _allocating_lstm_backward(g_h, x2d, weight, h_seq, acts, cells, reverse):
+    """Oracle: one direction's BPTT as the layer ran it before it worked in
+    the forward's gate buffer, with fresh [B, T, 4H] arrays for the gate
+    derivatives, the coefficients and d(loss)/dz. Returns the [B*T, D]
+    input gradient, the weight gradient and the bias gradient."""
+    batch, steps, hidden = h_seq.shape
+    width = x2d.shape[1]
+    h_prev, c_prev = np.zeros_like(h_seq), np.zeros_like(cells)
+    if reverse:
+        h_prev[:, :-1], c_prev[:, :-1] = h_seq[:, 1:], cells[:, 1:]
+    else:
+        h_prev[:, 1:], c_prev[:, 1:] = h_seq[:, :-1], cells[:, :-1]
+    i, f, g, o = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    tanh_c = np.tanh(cells)
+    deriv = acts * (1.0 - acts)
+    deriv[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
+    coef = np.concatenate((g, c_prev, i, tanh_c), axis=2) * deriv
+    dh_dc = o * (1.0 - tanh_c * tanh_c)
+    w_rec = weight[:, width:]
+    d_z = np.empty_like(acts)
+    dh = np.zeros((batch, hidden), dtype=acts.dtype)
+    dc = np.zeros((batch, hidden), dtype=acts.dtype)
+    order = range(steps) if reverse else range(steps - 1, -1, -1)
+    for t in order:
+        dh = g_h[:, t] + dh
+        dc = dc + dh * dh_dc[:, t]
+        dz = np.concatenate((dc, dc, dc, dh), axis=1) * coef[:, t]
+        d_z[:, t] = dz
+        if t != order[-1]:
+            dh = dz @ w_rec
+            dc = dc * f[:, t]
+    d_z = d_z.reshape(batch * steps, 4 * hidden)
+    d_weight = np.concatenate(
+        (d_z.T @ x2d, d_z.T @ h_prev.reshape(batch * steps, hidden)), axis=1
+    )
+    return d_z @ weight[:, :width], d_weight, layers._colsum(d_z)
+
+
+class TestBiLstmRuleInPlace:
+    """The rule overwrites the forward's gate buffers; its outputs keep the
+    bits of the allocating rule, and its memory stays within a few of them."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_allocating_rule_bytewise(self, dtype, batch):
+        steps, width, hidden = 7, 6, 5
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch, steps, width)).astype(dtype)
+        weights = rng.standard_normal((2, 4 * hidden, width + hidden))
+        # units 0 and 1 of every gate saturate: i, f, o exactly 0 or 1 and
+        # g exactly -1 or 1, so their derivatives are exactly 0
+        weights.reshape(2, 4, hidden, -1)[:, :, :2] *= 60.0
+        weights = weights.astype(dtype)
+        biases = rng.standard_normal((2, 4 * hidden)).astype(dtype)
+        g = rng.standard_normal((batch, steps, 2 * hidden)).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[rng.random(g.shape) < 0.1] = 0.0
+        x2d = x.reshape(batch * steps, width)
+        want_dx, want = 0, []
+        for k in range(2):
+            h_seq = np.empty((batch, steps, hidden), dtype=dtype)
+            acts, cells = layers._lstm_forward(x2d, weights[k], biases[k], h_seq,
+                                               reverse=bool(k), keep=True)
+            gates = acts.reshape(-1, 4, hidden)
+            assert {0.0, 1.0} <= set(gates[:, [0, 1, 3]].ravel())
+            assert {-1.0, 1.0} <= set(gates[:, 2].ravel())
+            d_x, d_w, d_b = _allocating_lstm_backward(
+                g[..., k * hidden : (k + 1) * hidden], x2d, weights[k], h_seq, acts, cells,
+                reverse=bool(k),
+            )
+            want_dx = want_dx + d_x.reshape(x.shape)
+            want += [d_w, d_b]
+        params = [Tensor(a, requires_grad=True) for a in (weights[0], biases[0], weights[1],
+                                                           biases[1])]
+        with ComputationTape() as tape:
+            layers.bilstm(Tensor(x, requires_grad=True), *params)
+        got = tape.nodes[0].rule(g)
+        for actual, expected in zip(got, [want_dx, *want]):
+            assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+            assert actual.tobytes() == expected.tobytes()
+
+    def test_peak_memory_in_gate_buffers(self):
+        # the model's shape at B=64: one gate buffer [B, T, 4H] float32 is 0.5 MiB
+        batch, steps, width, hidden = 64, 8, 128, 64
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(s).astype(np.float32) * 0.1
+                  for s in ((batch, steps, width), (4 * hidden, width + hidden), (4 * hidden,),
+                            (4 * hidden, width + hidden), (4 * hidden,))]
+        with ComputationTape() as tape:
+            layers.bilstm(*[Tensor(a, requires_grad=True) for a in arrays])
+        g = rng.standard_normal((batch, steps, 2 * hidden)).astype(np.float32)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.nodes[0].rule(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # 1.88 with numpy 2.4: the outputs (1.75) and, at most, one
+        # direction's forget-gate copy, dh/dc and scratch array (0.25 each);
+        # the allocating rule read 5.95
+        assert (peak - start) / (batch * steps * 4 * hidden * 4) <= 2.25
 
 
 class TestDropout:
