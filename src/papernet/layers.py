@@ -18,14 +18,15 @@ with backpropagation through time in numpy), dropout, dense and the two
 global pools over time. Global max pooling is max pooling with one window of all T steps:
 both run one private window-max forward and first-max rule.
 
-State only a backward pass reads is built only when a tape will record the
-call (:func:`papernet.tensor._recording`): max pooling, global or not,
-finds each window's first maximal step in the rule, batch norm outside a
-tape scales and shifts its normalized input in place instead of keeping
-``x_hat``, and the BiLSTM keeps its gate activations and cell states only
-for a recorded call. In-place steps write only into arrays the layer
-allocated itself, never into an input, since another node's rule may read
-it.
+State only a backward pass reads is built in the rule where that is cheap:
+max pooling, global or not, finds each window's first maximal step there,
+and batch norm, which normalizes, scales and shifts its centred copy of the
+input in place, recomputes ``x_hat`` from the input there. Only the BiLSTM,
+whose gates cannot be recomputed cheaply, asks whether a tape will record
+the call (:func:`papernet.tensor._recording`) and keeps its gate
+activations and cell states only then. In-place steps write only into
+arrays the layer allocated itself, never into an input, since another
+node's rule may read it.
 """
 
 from __future__ import annotations
@@ -181,34 +182,36 @@ def batchnorm(
         if x.shape[0] < 2:
             raise ShapeError("batchnorm in train mode needs batch size >= 2")
         mean = _colsum(xd) / n
-        centered = xd - mean
-        var = _colsum(centered * centered) / n
+        out = xd - mean
+        var = _colsum(out * out) / n
         # written into the arrays, which are views of the model's buffer
         running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mean
         running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
     else:
-        centered = xd - running_mean.data
+        # a copy: a later train-mode call overwrites the running mean before
+        # the rule reads it
+        mean = running_mean.data.copy()
+        out = xd - mean
         var = running_var.data
     inv_std = (var + BN_EPS) ** -0.5
-    if _recording((x, gamma, beta)):
-        x_hat = centered * inv_std
-        out = x_hat * gamma.data + beta.data
-    else:
-        # no rule will read x_hat: normalize, scale and shift the centred
-        # copy in place, in the same order as the recorded path
-        out = centered
-        out *= inv_std
-        out *= gamma.data
-        out += beta.data
+    # the centred copy is normalized, scaled and shifted in place
+    out *= inv_std
+    out *= gamma.data
+    out += beta.data
 
     def rule(g):
+        # x_hat is recomputed from the input by the forward's operations,
+        # with the same bits, then turned into d_x in place
+        x_hat = xd - mean
+        x_hat *= inv_std
         d_beta = _colsum(g)
         d_gamma = _colsum(g * x_hat)
         if mode == "infer":
-            return g * (gamma.data * inv_std), d_gamma, d_beta
+            return np.multiply(g, gamma.data * inv_std, out=x_hat), d_gamma, d_beta
         # the batch statistics depend on x as well: the input gradient is
         # gamma * inv_std * (g - d_beta / n - x_hat * d_gamma / n)
-        d_x = x_hat * (d_gamma / n)
+        d_x = x_hat
+        d_x *= d_gamma / n
         np.subtract(g, d_x, out=d_x)
         d_x -= d_beta / n
         d_x *= gamma.data * inv_std

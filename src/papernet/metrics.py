@@ -178,17 +178,7 @@ class EvalReport(PrfMetrics):
             "confusion_matrix": self.confusion.tolist(),
             "accuracy": self.accuracy,
             "per_class": [
-                {
-                    "class": k,
-                    "tp": c.tp,
-                    "fp": c.fp,
-                    "fn": c.fn,
-                    "tn": c.tn,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                    "roc_auc": self.roc[k].auc,
-                }
+                {"class": k, **vars(c), "roc_auc": self.roc[k].auc}
                 for k, c in enumerate(self.per_class)
             ],
             "macro_precision": self.macro_precision,

@@ -135,6 +135,7 @@ def _layout(variant: str, num_classes: int) -> list:
                 (f"lstm_{direction}.weight", (4 * h, feat + h), _glorot(feat + h, 4 * h)),
                 (f"lstm_{direction}.bias", (4 * h,), _lstm_bias),
             ]
+        feat = 2 * h  # the two directions' hidden states
     return layout + [
         ("dense1.weight", (feat, DENSE_WIDTH), _glorot(feat, DENSE_WIDTH)),
         ("dense1.bias", (DENSE_WIDTH,), _fill(0.0)),

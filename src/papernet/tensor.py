@@ -9,11 +9,12 @@ hand-written rule. :func:`_make_output` validates that the output is finite
 (one ``np.isfinite(...).all()``, exact for large finite float64 values).
 
 State that only a backward pass reads (a ReLU mask, the position of a
-pooled maximum) is computed inside the rule, and a layer that must keep
-such state from its forward asks :func:`_recording` first, so a forward
-outside a tape builds none of it. :func:`backward` drops each node's rule
-and inputs once it has used them, so a consumed tape no longer holds the
-step's intermediates.
+pooled maximum, batch norm's normalized input) is computed inside the
+rule, and a layer that must keep such state from its forward asks
+:func:`_recording` first, so a forward outside a tape builds none of it.
+:func:`backward` drops each node's rule and inputs once it has used them,
+which frees the state the rules saved; a consumed tape still holds each
+node's output tensor and its gradient until the tape itself is dropped.
 
 A :class:`ParamBuffer` holds parameter tensors back to back in one array,
 with a matching gradient array made at the first gradient, so the optimizer

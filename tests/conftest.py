@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ def repeat_weight_entry(path, name):
     body = WEIGHT_MAGIC + struct.pack("<Q", len(raw)) + raw + blob[header_end:-8]
     path.write_bytes(body + struct.pack("<Q", crc64(body)))
     return path
+
+
+def traced(fn, unit):
+    """Run ``fn()`` under tracemalloc and return (kept, peak) in units of
+    ``unit`` bytes: what is still allocated when it returns, its result
+    included, and the highest allocation while it ran, both above entry."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()  # held: the result counts as kept
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (current - start) / unit, (peak - start) / unit
 
 
 @pytest.fixture

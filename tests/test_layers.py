@@ -1,9 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced
 from papernet import layers
 from papernet.errors import NonFiniteError, ShapeError
 from papernet.tensor import ComputationTape, Tensor, _make_output, backward, gradcheck
@@ -453,6 +453,116 @@ def _batchnorm_mean_oracle(x, gamma, beta, running_mean, running_var, g, mode,
             g.sum(axis=(0, 1)), running_mean, running_var)
 
 
+def _x_hat_keeping_batchnorm(xd, gamma, beta, running_mean, running_var, mode):
+    """Oracle: batch norm as the layer ran a recorded call while it kept
+    x_hat from its forward for the rule. Updates the running statistics in
+    place, as the layer does; returns the output and the rule."""
+    n = xd.size // xd.shape[2]
+    if mode == "train":
+        mean = layers._colsum(xd) / n
+        centered = xd - mean
+        var = layers._colsum(centered * centered) / n
+        running_mean[...] = layers.BN_MOMENTUM * running_mean + (1.0 - layers.BN_MOMENTUM) * mean
+        running_var[...] = layers.BN_MOMENTUM * running_var + (1.0 - layers.BN_MOMENTUM) * var
+    else:
+        centered = xd - running_mean
+        var = running_var
+    inv_std = (var + layers.BN_EPS) ** -0.5
+    x_hat = centered * inv_std
+    out = x_hat * gamma + beta
+
+    def rule(g):
+        d_beta = layers._colsum(g)
+        d_gamma = layers._colsum(g * x_hat)
+        if mode == "infer":
+            return g * (gamma * inv_std), d_gamma, d_beta
+        d_x = x_hat * (d_gamma / n)
+        np.subtract(g, d_x, out=d_x)
+        d_x -= d_beta / n
+        d_x *= gamma * inv_std
+        return d_x, d_gamma, d_beta
+
+    return out, rule
+
+
+def _batchnorm_case(batch, steps, channels, dtype, seed):
+    """Input, upstream gradient, gamma, beta and running statistics at a
+    batch-norm shape of the model: half the channels ReLU outputs, channel 0
+    constant (zero batch variance), and g holding 0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.5, 2.0, size=(batch, steps, channels))
+    x[..., 1::2] = np.maximum(x[..., 1::2], 0.0)
+    x[..., 0] = 0.75
+    g = rng.standard_normal((batch, steps, channels))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[rng.random(g.shape) < 0.1] = 0.0
+    g[..., 1] = -0.0
+    params = (rng.normal(1.0, 0.3, channels), rng.normal(size=channels),
+              rng.normal(size=channels), rng.uniform(0.5, 2.0, channels))
+    return [a.astype(dtype) for a in (x, g, *params)]
+
+
+# the model's three batch-norm inputs per sample: conv1, conv2 and, after
+# the pooling, conv3 outputs
+BN_SHAPES = [(16, 32), (16, 64), (8, 128)]
+
+
+class TestBatchNormRecomputedXHat:
+    """The rule recomputes x_hat from the input instead of keeping it; the
+    output, the gradients and the running statistics keep the bits of the
+    layer that kept it, and a recorded call keeps about one [B, T, C] array."""
+
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("batch", [2, 3, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_x_hat_keeping_layer_bytewise(self, mode, dtype, batch, shape):
+        x, g, gamma, beta, rm, rv = _batchnorm_case(batch, *shape, dtype, seed=batch + shape[1])
+        stats = Tensor(rm.copy()), Tensor(rv.copy())
+        with ComputationTape() as tape:
+            out = layers.batchnorm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                                   Tensor(beta, requires_grad=True), *stats, mode)
+        got = [out.data, *tape.nodes[0].rule(g), stats[0].data, stats[1].data]
+        want_out, want_rule = _x_hat_keeping_batchnorm(x, gamma, beta, rm, rv, mode)
+        want = [want_out, *want_rule(g), rm, rv]
+        for actual, expected in zip(got, want):
+            assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+            assert actual.tobytes() == expected.tobytes()
+        if mode == "train":  # the constant channel normalizes to beta
+            assert (got[0][..., 0] == beta[0]).all()
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_recorded_call_keeps_one_array(self, mode):
+        x, g, gamma, beta, rm, rv = _batchnorm_case(64, *BN_SHAPES[2], np.float32, seed=1)
+        args = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        args += [Tensor(rm), Tensor(rv)]
+        with ComputationTape() as tape:
+            # the output and C-sized arrays: 1.01 with numpy 2.4; the layer that
+            # kept x_hat read 2.01
+            kept, _ = traced(lambda: layers.batchnorm(*args, mode), x.nbytes)
+        assert kept <= 1.25
+        # the recomputed x_hat and g * x_hat: 2.02 with numpy 2.4; x_hat then
+        # becomes d_x. The layer that kept x_hat read 1.14
+        _, peak = traced(lambda: tape.nodes[0].rule(g), x.nbytes)
+        assert peak <= 2.25
+
+    def test_rule_reads_the_mean_its_infer_forward_used(self):
+        x, g, gamma, beta, rm, rv = _batchnorm_case(3, *BN_SHAPES[0], np.float64, seed=2)
+
+        def grads(train_call_between):
+            stats = Tensor(rm.copy()), Tensor(rv.copy())
+            params = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            with ComputationTape() as tape:
+                layers.batchnorm(Tensor(x, requires_grad=True), *params, *stats, "infer")
+            if train_call_between:  # writes the running statistics in place
+                layers.batchnorm(Tensor(x + 3.0), *params, *stats, "train")
+                assert not (stats[0].data == rm).any()
+            return tape.nodes[0].rule(g)
+
+        for actual, expected in zip(grads(True), grads(False)):
+            assert actual.tobytes() == expected.tobytes()
+
+
 class TestColumnSum:
     @pytest.mark.parametrize("shape", [(6,), (1, 4), (64, 10), (3, 5, 7), (64, 16, 32),
                                        (2, 3, 4, 5)])
@@ -754,20 +864,10 @@ class TestBiLstmRuleInPlace:
         with ComputationTape() as tape:
             layers.bilstm(*[Tensor(a, requires_grad=True) for a in arrays])
         g = rng.standard_normal((batch, steps, 2 * hidden)).astype(np.float32)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tape.nodes[0].rule(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        _, peak = traced(lambda: tape.nodes[0].rule(g), batch * steps * 4 * hidden * 4)
         # 1.88 with numpy 2.4, of which the two input gradients and the two
         # weight gradients are 1.75; the allocating rule read 5.95
-        assert (peak - start) / (batch * steps * 4 * hidden * 4) <= 2.25
+        assert peak <= 2.25
 
 
 class TestDropout:

@@ -278,6 +278,9 @@ class TestEvaluateProbs:
             "macro_recall", "macro_f1", "macro_roc_auc", "mcnemar_vs_random",
         ):
             assert key in d
+        assert [list(c) for c in d["per_class"]] == [
+            ["class", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "roc_auc"]
+        ] * 4
         assert report.confusion.sum() == 60
         assert 0.0 <= report.accuracy <= 1.0
 

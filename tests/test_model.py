@@ -161,6 +161,15 @@ class TestParameterCounts:
         assert full - count_parameters(build_papernet(variant="no_lstm")) == LSTM_PARAM_COUNT
         assert full == count_parameters(build_papernet(variant="no_residual"))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_dense1_input_width_follows_the_aggregator(self, variant, monkeypatch):
+        # the BiLSTM's 2 * LSTM_HIDDEN outputs, 64 here, unlike conv3's 128 channels
+        monkeypatch.setattr("papernet.model.LSTM_HIDDEN", 32)
+        m = build_papernet(variant=variant)
+        width = 128 if variant == "no_lstm" else 64
+        assert m.params["dense1.weight"].shape == (width, 128)
+        assert forward(m, batch(2)).shape == (2, 4)
+
     def test_no_lstm_has_no_recurrent_parameters(self):
         m = build_papernet(variant="no_lstm")
         assert not [k for k in m.params if k.startswith("lstm")]
