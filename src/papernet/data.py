@@ -69,22 +69,29 @@ def load_csv(path) -> RawDataset:
     :func:`_read_rows` reads the file again and raises its line-numbered
     :class:`DataError`. The scanner is also the reference the fast path is
     tested against: both return the same arrays for every file they accept.
+
+    The file's bytes are never held whole: :func:`_needs_scanner` reads
+    them in blocks through one reused buffer, and the parse then goes
+    through a ``utf-8-sig`` text wrapper on the same open file, rewound.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    reader = csv.reader(text)
-    try:
-        width, label_col = _read_header(path, reader)
-        dataset = _parse_body(raw, text, width, label_col)
-        if dataset is None:
-            text.seek(0)
-            reader = csv.reader(text)
-            dataset = _read_rows(path, reader)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
+        if not fh.seekable():  # a pipe is read once, into memory
+            fh = io.BytesIO(fh.read())
+        scanner_only = _needs_scanner(fh)
+        fh.seek(0)
+        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+        reader = csv.reader(text)
+        try:
+            width, label_col = _read_header(path, reader)
+            dataset = None if scanner_only else _parse_body(text, width, label_col)
+            if dataset is None:
+                text.seek(0)
+                reader = csv.reader(text)
+                dataset = _read_rows(path, reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
     return dataset
 
 
@@ -110,16 +117,29 @@ def _read_header(path, reader) -> tuple[int, int]:
 _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _parse_body(raw: bytes, text, width: int, label_col: int) -> RawDataset | None:
+def _needs_scanner(fh) -> bool:
+    """Whether the binary file ``fh`` holds text that loadtxt and the
+    scanner could read differently: a byte from ``_LOADTXT_ONLY_SPACE``, or
+    a cell the csv module would refuse as longer than its field limit. Such
+    a cell may parse as a number and has no comma, and a comma-free stretch
+    longer than the limit covers a whole aligned block of half the limit.
+    So the file is read from its start in such blocks, through one buffer,
+    and one ``find`` per full block, stopping at its first comma, decides."""
+    block = bytearray(max(csv.field_size_limit() // 2, 1))
+    while n := fh.readinto(block):
+        if any(block.find(space, 0, n) >= 0 for space in _LOADTXT_ONLY_SPACE):
+            return True
+        if n == len(block) and block.find(b",") < 0:
+            return True
+    return False
+
+
+def _parse_body(text, width: int, label_col: int) -> RawDataset | None:
     """The rows left in ``text`` after the header, parsed by one
     ``np.loadtxt`` call; None when the scanner must decide instead. That is
     when loadtxt raises or warns (a header-only file warns), a row is not
-    ``width`` cells, a feature is not finite, a label is not an integer in
-    [0, 2**63), or ``raw`` holds text that loadtxt and the scanner could
-    read differently: a byte from ``_LOADTXT_ONLY_SPACE``, or a cell the
-    csv module would refuse as longer than its field limit."""
-    if any(space in raw for space in _LOADTXT_ONLY_SPACE) or _may_hold_long_cell(raw):
-        return None
+    ``width`` cells, a feature is not finite, or a label is not an integer
+    in [0, 2**63)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -134,15 +154,6 @@ def _parse_body(raw: bytes, text, width: int, label_col: int) -> RawDataset | No
             and ((labels >= 0) & (labels < 2.0**63)).all()):
         return None
     return RawDataset(features=features, labels=labels.astype(np.int64))
-
-
-def _may_hold_long_cell(raw: bytes) -> bool:
-    """Whether ``raw`` may hold a cell longer than the csv field limit that
-    parses as a number. Such a cell has no comma, and a comma-free stretch
-    longer than the limit covers a whole aligned block of half the limit,
-    so one ``find`` per block, each stopping at its first comma, decides."""
-    block = max(csv.field_size_limit() // 2, 1)
-    return any(raw.find(b",", i, i + block) < 0 for i in range(0, len(raw) - block + 1, block))
 
 
 def _read_rows(path, reader) -> RawDataset:

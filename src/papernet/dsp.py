@@ -22,6 +22,14 @@ plus the block's entry state seen through ``C A^i``; only the entry states
 are carried from block to block in a Python loop. Channels form the leading
 batch axis of every matrix product, so each channel's arithmetic is the same
 whether it is filtered alone or with others.
+
+The two passes share one zero-padded [C, k*BLOCK] work buffer and one output
+buffer. The extension is written straight into the work buffer; a pass
+writes the entry states' share of its output into its spent input before
+adding it; the backward pass reads the forward output copied into the work
+buffer reversed. Besides those two, a call allocates only its [N, C] result
+at the signal's size. The standardizer likewise subtracts into its one
+output array and divides in place.
 """
 
 from __future__ import annotations
@@ -171,18 +179,20 @@ def filtfilt(cascade: BiquadCascade, x) -> np.ndarray:
         raise DataError(f"signal length {len(x)} too short for padding {pad}")
     # channels first: [C, N]
     cols = x.reshape(len(x), -1).T
-    ext = np.concatenate(
-        (
-            2 * cols[:, :1] - cols[:, pad:0:-1],
-            cols,
-            2 * cols[:, -1:] - cols[:, -2 : -(pad + 2) : -1],
-        ),
-        axis=1,
-    )
+    channels, n = cols.shape
+    m = n + 2 * pad
+    # the odd-reflection extension, zero-padded to whole blocks
+    work = np.zeros((channels, -(-m // BLOCK) * BLOCK))
+    np.subtract(2 * cols[:, :1], cols[:, pad:0:-1], out=work[:, :pad])
+    work[:, pad : pad + n] = cols
+    np.subtract(2 * cols[:, -1:], cols[:, -2 : -(pad + 2) : -1], out=work[:, pad + n : m])
     system = _BlockFilter(cascade.sections)
-    y = system(ext)
-    y = system(y[:, ::-1])[:, ::-1]
-    out = y[:, pad:-pad].T
+    y = system(work, np.empty_like(work))
+    # the backward pass runs over the forward output, reversed
+    work[:, :m] = y[:, m - 1 :: -1]
+    work[:, m:] = 0.0  # as in the forward pass: the block products read the tail
+    system(work, y)
+    out = np.ascontiguousarray(y[:, pad + n - 1 : pad - 1 : -1].T)
     return out.reshape(x.shape)
 
 
@@ -228,23 +238,26 @@ class _BlockFilter:
         self.reach_rev = np.ascontiguousarray(reach[::-1])
         self.power_t = powers[-1].T
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Filter the rows of ``u`` [C, N], each from the steady state of a
-        step at its first sample."""
-        channels, n = u.shape
-        blocks = -(-n // BLOCK)
-        padded = np.zeros((channels, blocks * BLOCK))
-        padded[:, :n] = u
-        padded = padded.reshape(channels, blocks, BLOCK)
-        drive = padded @ self.reach_rev
+    def __call__(self, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Filter the rows of ``work`` [C, k*BLOCK], each zero past its
+        signal's end, from the steady state of a step at its first sample,
+        into ``out`` of the same shape, and return ``out``. ``work`` is
+        spent: the entry states' share of the output is written into it
+        before being added, so a pass allocates no block-sized array."""
+        channels, length = work.shape
+        blocks = length // BLOCK
+        u = work.reshape(channels, blocks, BLOCK)
+        y = out.reshape(channels, blocks, BLOCK)
+        drive = u @ self.reach_rev
         entry = np.empty_like(drive)
-        state = u[:, :1, None] * self.steady
+        state = u[:, :1, :1] * self.steady
         for j in range(blocks):
             entry[:, j : j + 1] = state
             state = state @ self.power_t + drive[:, j : j + 1]
-        y = padded @ self.toeplitz_t
-        y += entry @ self.seen_t
-        return y.reshape(channels, -1)[:, :n]
+        np.matmul(u, self.toeplitz_t, out=y)
+        np.matmul(entry, self.seen_t, out=u)
+        y += u
+        return out
 
 
 def preprocess_recording(
@@ -294,5 +307,7 @@ def fit_standardizer(filtered, train_indices) -> Standardizer:
 
 
 def apply_standardizer(standardizer: Standardizer, rows) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    return (rows - standardizer.mean) / standardizer.std
+    """``(rows - mean) / std`` in float64, in one output array."""
+    out = np.subtract(rows, standardizer.mean, dtype=np.float64)
+    out /= standardizer.std
+    return out

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
@@ -37,7 +38,7 @@ from papernet.metrics import evaluate_probs, report_to_json
 from papernet.model import build_papernet, forward
 from papernet.training import export_attention
 
-from conftest import repeat_weight_entry, write_csv
+from conftest import make_synthetic, repeat_weight_entry, traced, write_csv
 
 
 class TestLoadCsv:
@@ -158,6 +159,74 @@ class TestLoadCsv:
         row = ",".join(["0" * csv.field_size_limit() + "1"] + ["0.5"] * 15 + ["1"])
         path.write_text(f"{header}\n{row}\n")
         with pytest.raises(DataError, match=r":2: malformed CSV \(field larger than field limit"):
+            _load(path, scanner_only)
+
+
+    def test_peak_below_one_file(self, tmp_path):
+        # the bytes are checked block by block, never held whole
+        path = tmp_path / "rows8000.csv"
+        write_csv(path, *make_synthetic(n=8000, seed=9))
+        _, peak = traced(lambda: load_csv(path), path.stat().st_size)
+        assert peak < 1.0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_read(self, tmp_path, synthetic_csv):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(synthetic_csv.read_bytes(),), daemon=True
+        )
+        writer.start()
+        ds = load_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        want = load_csv(synthetic_csv)
+        assert ds.features.tobytes() == want.features.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
+
+
+FIELD_LIMIT = 32  # byte checks in blocks of 16
+
+
+@pytest.fixture
+def small_field_limit():
+    old = csv.field_size_limit(FIELD_LIMIT)
+    yield
+    csv.field_size_limit(old)
+
+
+def _shifted_rows(shift):
+    """The header and one clean row, ``shift`` bytes longer than the
+    shortest: its first ``shift`` cells are "0.50" rather than "0.5"."""
+    header = ",".join([f"X{i+1}" for i in range(16)] + ["y"])
+    row = ",".join(["0.50"] * shift + ["0.5"] * (16 - shift) + ["1"])
+    return f"{header}\n{row}\n"
+
+
+@pytest.mark.usefixtures("small_field_limit")
+class TestStreamedByteChecks:
+    """The byte checks run over aligned blocks of half the field limit; a
+    shift of 0..15 bytes puts what they look for at every offset in a
+    block."""
+
+    @pytest.mark.parametrize("shift", range(FIELD_LIMIT // 2))
+    def test_loadtxt_space_as_last_byte_goes_to_the_scanner(self, tmp_path, shift):
+        path = tmp_path / "tail.csv"
+        path.write_bytes(_shifted_rows(shift).encode() + b"\x1c")
+        with mock.patch.object(data, "_read_rows", wraps=data._read_rows) as scanner:
+            outcome = _outcome(path, scanner_only=False)
+        assert scanner.called
+        assert outcome == _outcome(path, scanner_only=True) == (
+            f"{path}:3: expected 17 cells, got 1"
+        )
+
+    @pytest.mark.parametrize("shift", range(FIELD_LIMIT // 2))
+    @pytest.mark.parametrize("scanner_only", [False, True], ids=["fast", "scanner"])
+    def test_long_cell_across_blocks_refused(self, tmp_path, shift, scanner_only):
+        path = tmp_path / "long.csv"
+        row = ",".join(["0" * FIELD_LIMIT + "1"] + ["0.5"] * 15 + ["1"])
+        path.write_text(_shifted_rows(shift) + row + "\n")
+        with pytest.raises(DataError, match=r":3: malformed CSV \(field larger than field limit"):
             _load(path, scanner_only)
 
 

@@ -4,8 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from conftest import traced
 from papernet.dsp import (
+    BLOCK,
     BiquadCascade,
+    _BlockFilter,
     apply_standardizer,
     butter_bandpass_design,
     filtfilt,
@@ -198,6 +201,87 @@ class TestScipyOracle:
             assert got.shape == expected.shape
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(got - expected)) <= 1e-9 * scale, shape
+
+
+def _concatenate_filtfilt(cascade, x):
+    """Oracle: the zero-phase filter as it was before the passes shared
+    their buffers. The extension is concatenated, each pass pads a fresh
+    copy of its input and allocates its output, and the result is a view."""
+    x = np.asarray(x, dtype=np.float64)
+    pad = 3 * (2 * len(cascade.sections) + 1)
+    cols = x.reshape(len(x), -1).T
+    ext = np.concatenate(
+        (
+            2 * cols[:, :1] - cols[:, pad:0:-1],
+            cols,
+            2 * cols[:, -1:] - cols[:, -2 : -(pad + 2) : -1],
+        ),
+        axis=1,
+    )
+    system = _BlockFilter(cascade.sections)
+
+    def one_pass(u):
+        channels, n = u.shape
+        blocks = -(-n // BLOCK)
+        padded = np.zeros((channels, blocks * BLOCK))
+        padded[:, :n] = u
+        padded = padded.reshape(channels, blocks, BLOCK)
+        drive = padded @ system.reach_rev
+        entry = np.empty_like(drive)
+        state = u[:, :1, None] * system.steady
+        for j in range(blocks):
+            entry[:, j : j + 1] = state
+            state = state @ system.power_t + drive[:, j : j + 1]
+        y = padded @ system.toeplitz_t
+        y += entry @ system.seen_t
+        return y.reshape(channels, -1)[:, :n]
+
+    y = one_pass(ext)
+    y = one_pass(y[:, ::-1])[:, ::-1]
+    return y[:, pad:-pad].T.reshape(x.shape)
+
+
+@st.composite
+def _oracle_signals(draw):
+    """A design, and a 1-D or [N, C] signal whose extended length N + 2*pad
+    is one short of, equal to or one past a whole number of blocks, or
+    whose length is the shortest allowed, pad + 1."""
+    order, low, high, fs = draw(_designs())
+    pad = 3 * (2 * order + 1)
+    k = draw(st.integers(-(-(3 * pad + 2) // BLOCK), 4))
+    n = draw(st.sampled_from([k * BLOCK - 1, k * BLOCK, k * BLOCK + 1])) - 2 * pad
+    n = draw(st.sampled_from([n, pad + 1]))
+    channels = draw(st.sampled_from([(), (1,), (3,), (16,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, *channels)) * draw(st.sampled_from([1e-3, 1.0, 1e4])) + 3.0
+    return butter_bandpass_design(order, low, high, fs), x
+
+
+class TestFiltFiltOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_oracle_signals())
+    def test_matches_concatenate_filtfilt_bytewise(self, case):
+        cascade, x = case
+        got = filtfilt(cascade, x)
+        want = _concatenate_filtfilt(cascade, x)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBandPassMemory:
+    """tracemalloc peaks above entry, in units of one [8000, 16] float64
+    recording: the two passes share one work and one output buffer."""
+
+    def test_preprocess_recording_peak(self):
+        rows = np.random.default_rng(7).normal(size=(8000, 16))
+        _, peak = traced(lambda: preprocess_recording(rows), rows.nbytes)
+        assert peak <= 3.5
+
+    def test_apply_standardizer_peak(self):
+        rows = np.random.default_rng(8).normal(size=(8000, 16))
+        std = fit_standardizer(rows, np.arange(5600))
+        _, peak = traced(lambda: apply_standardizer(std, rows), rows.nbytes)
+        assert peak <= 1.1
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
