@@ -161,7 +161,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r":2: malformed CSV \(field larger than field limit"):
             _load(path, scanner_only)
 
-
     def test_peak_below_one_file(self, tmp_path):
         # the bytes are checked block by block, never held whole
         path = tmp_path / "rows8000.csv"
